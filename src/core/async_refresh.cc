@@ -40,6 +40,7 @@ void AsyncRefreshScheduler::TrackView(std::size_t slot,
 void AsyncRefreshScheduler::NotifyBaseChanged() {
   std::vector<std::size_t> repairs;
   std::vector<std::size_t> serial;
+  std::vector<std::size_t> prepares;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.feedback_rounds;
@@ -77,12 +78,18 @@ void AsyncRefreshScheduler::NotifyBaseChanged() {
         case AsyncViewClass::kRepair:
           repairs.push_back(slot);
           break;
+        case AsyncViewClass::kStructuralRepair:
+          // A registration this view's certificate skipped earlier is
+          // no longer provably irrelevant (this feedback moved the
+          // weights it was proven under): rebase below, search async.
+          prepares.push_back(slot);
+          break;
         case AsyncViewClass::kSerialOnly:
           serial.push_back(slot);
           break;
       }
     }
-    if (!repairs.empty()) {
+    if (!repairs.empty() || !prepares.empty()) {
       // Freeze the weight vector for this epoch's repairs: the copy
       // equals the live vector (values and journal) right now and never
       // changes, so repairs can read it while the feedback thread keeps
@@ -96,10 +103,10 @@ void AsyncRefreshScheduler::NotifyBaseChanged() {
   }
   cv_.notify_all();
 
-  if (!serial.empty()) {
-    // Rebuilds mutate the shared feature space (and structural
-    // propagation the cached query graph), which concurrent repairs may
-    // be reading: quiesce first. The owner's feedback lock keeps new
+  if (!serial.empty() || !prepares.empty()) {
+    // Rebuilds and rebases mutate the shared feature space and the
+    // cached query graph, which concurrent repairs may be reading:
+    // quiesce first. The owner's feedback lock keeps new
     // notifications out while we run. Concurrent QueryView readers are
     // excluded by the serving gate — a rebuild replaces the slot's engine
     // and query graph, which a gate-free reader could be mid-search on.
@@ -119,6 +126,23 @@ void AsyncRefreshScheduler::NotifyBaseChanged() {
         validated_[slot] = epoch_;
       } else if (repair_error_.ok()) {
         repair_error_ = status;
+      }
+    }
+    // The synchronous half of a structural repair, as in
+    // NotifyStructuralChange: the search joins this round's repairs
+    // against the weights frozen above (the live vector cannot move
+    // while our caller holds its feedback lock).
+    for (std::size_t slot : prepares) {
+      auto need_search = engine_->PrepareStructuralRepair(
+          slot, *base_, *index_, model_, *weights_);
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.structural_rebuilds;
+      if (!need_search.ok()) {
+        if (repair_error_.ok()) repair_error_ = need_search.status();
+      } else if (*need_search) {
+        repairs.push_back(slot);
+      } else {
+        validated_[slot] = epoch_;
       }
     }
     cv_.notify_all();
@@ -172,6 +196,7 @@ util::Status AsyncRefreshScheduler::NotifyStructuralChange() {
           // so a future classification refinement cannot strand a view.
           repairs.push_back(slot);
           break;
+        case AsyncViewClass::kStructuralRepair:
         case AsyncViewClass::kSerialOnly:
           rebuilds.push_back(slot);
           break;

@@ -33,8 +33,8 @@ struct AsyncRefreshStats {
   // Views validated at an epoch without a search (up to date, delta
   // no-op, or relevance-gated).
   std::size_t validations_without_search = 0;
-  // Views routed through the serial path from NotifyBaseChanged (rebuild
-  // or structural delta needed — quiesces the queue first).
+  // Views routed through the serial path from NotifyBaseChanged (first
+  // touch or weight-dependent topology — quiesces the queue first).
   std::size_t serial_repairs = 0;
   // SyncBarrier calls (structural changes, explicit full refreshes).
   std::size_t sync_barriers = 0;
@@ -46,9 +46,10 @@ struct AsyncRefreshStats {
   // the new epoch with no rebuild, no search, and no quiesce of their
   // serving state.
   std::size_t structural_skips = 0;
-  // Views whose certificate failed a structural round: query graph +
-  // snapshot rebuilt synchronously inside the ack (searches still run
-  // async on the keyed queue).
+  // Views whose certificate failed a structural round, or whose pending
+  // structural delta a feedback round no longer lets the certificate
+  // discharge: query graph rebased + snapshot rebuilt synchronously
+  // inside the ack (searches still run async on the keyed queue).
   std::size_t structural_rebuilds = 0;
 };
 
@@ -132,10 +133,13 @@ class AsyncRefreshScheduler {
 
   // The feedback ack: bumps the epoch, freezes the weight vector,
   // classifies every view, validates the unaffected ones, and queues
-  // repairs for the rest. Views needing the serial path (rebuilds,
-  // structural deltas) are repaired synchronously inside this call after
-  // quiescing the queue — the normal feedback loop (pure weight deltas
-  // over weight-independent topologies) never takes that branch.
+  // repairs for the rest. Views needing the serial path (first touch,
+  // weight-dependent topology) are repaired synchronously inside this
+  // call after quiescing the queue; views with a pending structural
+  // delta their certificate no longer discharges (a registration it
+  // skipped earlier) get their query graph rebased there too, with the
+  // search queued like any repair. The normal feedback loop (pure weight
+  // deltas over weight-independent topologies) takes neither branch.
   void NotifyBaseChanged();
 
   // The structural (onboarding) ack: like NotifyBaseChanged, but for

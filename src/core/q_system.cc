@@ -103,6 +103,10 @@ util::Status QSystem::AddAssociations(
 util::Status QSystem::AddAssociationsLocked(
     const std::vector<match::AlignmentCandidate>& candidates) {
   if (scheduler_ != nullptr) scheduler_->Quiesce();
+  // Interning new association features can grow the shared FeatureSpace,
+  // whose initial weights every concurrent QueryView reads through its
+  // frozen WeightVector: exclusive serving gate, as for RegisterSource.
+  std::unique_lock<util::SharedMutex> serve_lock(serve_mu_);
   for (const match::AlignmentCandidate& c : candidates) {
     auto na = graph_.FindAttributeNode(c.a);
     auto nb = graph_.FindAttributeNode(c.b);

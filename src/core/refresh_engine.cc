@@ -119,6 +119,7 @@ void RefreshEngine::ObserveRevisions(const graph::SearchGraph& base,
 void RefreshEngine::MergeStats(const RefreshEngineStats& delta) {
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats_.snapshots_built += delta.snapshots_built;
+  stats_.query_graphs_rebased += delta.query_graphs_rebased;
   stats_.snapshots_recosted += delta.snapshots_recosted;
   stats_.refreshes_skipped += delta.refreshes_skipped;
   stats_.searches_run += delta.searches_run;
@@ -134,6 +135,16 @@ void RefreshEngine::MergeStats(const RefreshEngineStats& delta) {
   stats_.sp_cache_entries_dropped += delta.sp_cache_entries_dropped;
   stats_.structural_gate_checks += delta.structural_gate_checks;
   stats_.structural_gate_fallthroughs += delta.structural_gate_fallthroughs;
+  stats_.structural_fallthrough_ineligible +=
+      delta.structural_fallthrough_ineligible;
+  stats_.structural_fallthrough_journal += delta.structural_fallthrough_journal;
+  stats_.structural_fallthrough_mutation +=
+      delta.structural_fallthrough_mutation;
+  stats_.structural_fallthrough_fingerprint +=
+      delta.structural_fallthrough_fingerprint;
+  stats_.structural_fallthrough_contact += delta.structural_fallthrough_contact;
+  stats_.structural_fallthrough_distance +=
+      delta.structural_fallthrough_distance;
   stats_.views_skipped_structural += delta.views_skipped_structural;
 }
 
@@ -195,68 +206,69 @@ util::Result<RefreshEngine::PrepareOutcome> RefreshEngine::PrepareSlot(
   // A finite association-cost threshold makes the query-graph topology a
   // function of the weights (edges are pruned by current cost), so only
   // the infinite-threshold default is eligible for any in-place path —
-  // including structural edge propagation, which relies on the query
-  // graph copying every base edge id-for-id.
+  // including the query-graph rebase, which relies on the query graph
+  // copying every base edge id-for-id.
   const bool weight_independent_topology =
       view.config().query_graph.association_cost_threshold ==
       std::numeric_limits<double>::infinity();
 
   // --- classify the structural delta ------------------------------------
-  bool rebuild = !slot->built || !weight_independent_topology;
+  // First touch, weight-dependent topology, and a cached query graph
+  // rebuilt out of band (TopKView::Refresh) since this slot last brought
+  // it forward — its prefix is not the one the engine's CSR mirrors —
+  // re-expand from scratch; every other graph move rebases the cached
+  // query graph.
+  const bool foreign =
+      view.query_graph().base_revision != slot->prepared_graph_revision;
+  const bool full_rebuild = !slot->built || !weight_independent_topology ||
+                            (graph_moved && foreign);
   // A prepared-but-unsearched slot: PrepareStructuralRepair (or an
   // earlier attempt whose search failed) already brought the cached
   // query graph and engine topology to this exact base revision, so only
   // reconciliation + search remain — work the async repair path can run.
   const bool already_prepared =
-      !rebuild && slot->dirty &&
+      !full_rebuild && slot->dirty &&
       slot->prepared_graph_revision == base.revision();
-  std::vector<graph::EdgeId> mutated_edges;
-  if ((rebuild || graph_moved) && !allow_rebuild && !already_prepared) {
+  if ((full_rebuild || graph_moved) && !allow_rebuild && !already_prepared) {
     // Async repairs handle pure weight deltas only: a rebuild mutates the
-    // shared feature space and a structural propagation mutates the
-    // cached query graph other threads may be reading. The scheduler
-    // routes these through the serial path instead.
+    // shared feature space and a structural patch mutates the cached
+    // query graph other threads may be reading. The scheduler routes
+    // these through the serial path instead.
     return util::Status::Internal(
         "view needs the serial refresh path (rebuild or structural delta)");
   }
-  if (!rebuild && graph_moved && !already_prepared) {
-    std::vector<graph::GraphDelta> graph_deltas;
-    if (!base.DeltaSince(slot->graph_revision, &graph_deltas)) {
-      rebuild = true;  // journal truncated: assume arbitrary change
-    } else {
-      for (const graph::GraphDelta& d : graph_deltas) {
-        if (d.kind != graph::GraphDeltaKind::kEdgeMutated) {
-          // Node/edge additions change what keyword matching can reach,
-          // node mutations can change labels/values: re-expand.
-          rebuild = true;
-          break;
-        }
-        mutated_edges.push_back(d.id);
-      }
-    }
-    if (!rebuild && !mutated_edges.empty()) {
-      std::sort(mutated_edges.begin(), mutated_edges.end());
-      mutated_edges.erase(
-          std::unique(mutated_edges.begin(), mutated_edges.end()),
-          mutated_edges.end());
-      // In-place base-edge mutations: patch the cached query graph
-      // instead of re-expanding it, then reprice exactly those edges
-      // below. The mutated FeatureVecs make the snapshot's feature->edge
-      // postings stale, so drop the index (rebuilt from the patched
-      // graph on the next delta re-cost).
-      if (view.PropagateBaseEdges(base, mutated_edges)) {
+  bool topology_changed = full_rebuild;
+  std::vector<graph::EdgeId> mutated_edges;
+  if (full_rebuild) {
+    Q_RETURN_NOT_OK(view.RebuildQueryGraph(base, *index, model, weights));
+  } else if (graph_moved && !already_prepared) {
+    Q_ASSIGN_OR_RETURN(query::RebaseKind kind,
+                       view.RebaseQueryGraph(base, *index, model, weights,
+                                             &mutated_edges));
+    switch (kind) {
+      case query::RebaseKind::kUnchanged:
+        break;
+      case query::RebaseKind::kPatched:
+        // In-place base-edge mutations: ids are kept, so reprice exactly
+        // those edges below. The mutated FeatureVecs make the snapshot's
+        // feature->edge postings stale, so drop the index (rebuilt from
+        // the patched graph on the next delta re-cost).
         stats->structural_edges_propagated += mutated_edges.size();
         slot->engine->InvalidateFeatureIndex();
         slot->dirty = true;
-        slot->prepared_graph_revision = base.revision();
-      } else {
-        rebuild = true;
-      }
+        break;
+      case query::RebaseKind::kRebased:
+        ++stats->query_graphs_rebased;
+        topology_changed = true;
+        break;
+      case query::RebaseKind::kRebuilt:
+        topology_changed = true;
+        break;
     }
+    slot->prepared_graph_revision = base.revision();
   }
 
-  if (rebuild) {
-    Q_RETURN_NOT_OK(view.RebuildQueryGraph(base, *index, model, weights));
+  if (topology_changed) {
     {
       // Rebuilds run under the caller's exclusive serving gate (no
       // SearchView in flight), but publish under serve_mu_ anyway so the
@@ -375,6 +387,7 @@ void RefreshEngine::CommitSlot(Slot* slot, const graph::SearchGraph& base,
                                const graph::WeightVector& weights,
                                bool searched) {
   slot->graph_revision = base.revision();
+  slot->prepared_graph_revision = base.revision();
   slot->weight_revision = weights.revision();
   // Conditional so steady-state commits don't write the flag at all:
   // SearchView reads `built` without a lock, which is safe because the
@@ -555,7 +568,8 @@ AsyncViewClass RefreshEngine::ClassifyViewForAsync(
     // registration irrelevant to this view (kSkippedIrrelevant, no
     // repair at all); everything else — including in-place edge
     // mutations, which patch the cached query graph the feedback thread
-    // reads for MIRA updates — needs the serial path.
+    // reads for MIRA updates — is rebased under the serving gate, with
+    // the search left to a background repair.
     result = ClassifyStructural(&slot, base, index, weights, &local);
   } else if (slot.dirty) {
     // A previous repair mutated the snapshot without its search landing;
@@ -606,15 +620,18 @@ AsyncViewClass RefreshEngine::ClassifyStructural(
   // Eligibility mirrors the weight gate: a clean, refreshed slot whose
   // certificate (a) is valid with the structural half populated and (b)
   // was stamped by the last search this engine committed. Ineligible
-  // slots are not counted as gate checks.
+  // slots are not counted as gate checks, only as fall-throughs.
   if (!relevance_gating_ || slot->dirty || !view.refreshed() || !cert.valid ||
       !cert.structural_valid || cert.serial != slot->certificate_serial) {
-    return AsyncViewClass::kSerialOnly;
+    ++stats->structural_fallthrough_ineligible;
+    ++stats->structural_gate_fallthroughs;
+    return AsyncViewClass::kStructuralRepair;
   }
   ++stats->structural_gate_checks;
-  const auto fall_through = [stats] {
+  const auto fall_through = [stats](std::size_t RefreshEngineStats::*reason) {
+    ++(stats->*reason);
     ++stats->structural_gate_fallthroughs;
-    return AsyncViewClass::kSerialOnly;
+    return AsyncViewClass::kStructuralRepair;
   };
 
   // --- decode the structural window --------------------------------------
@@ -627,7 +644,7 @@ AsyncViewClass RefreshEngine::ClassifyStructural(
   // this gate cannot bound: fall through.
   std::vector<graph::GraphDelta> graph_deltas;
   if (!base.DeltaSince(slot->graph_revision, &graph_deltas)) {
-    return fall_through();
+    return fall_through(&RefreshEngineStats::structural_fallthrough_journal);
   }
   std::vector<std::uint32_t> added_nodes;
   std::vector<std::uint32_t> added_edges;
@@ -642,13 +659,15 @@ AsyncViewClass RefreshEngine::ClassifyStructural(
       case graph::GraphDeltaKind::kNodeMutated:
         if (!std::binary_search(added_nodes.begin(), added_nodes.end(),
                                 d.id)) {
-          return fall_through();
+          return fall_through(
+              &RefreshEngineStats::structural_fallthrough_mutation);
         }
         break;
       case graph::GraphDeltaKind::kEdgeMutated:
         if (!std::binary_search(added_edges.begin(), added_edges.end(),
                                 d.id)) {
-          return fall_through();
+          return fall_through(
+              &RefreshEngineStats::structural_fallthrough_mutation);
         }
         break;
     }
@@ -657,12 +676,14 @@ AsyncViewClass RefreshEngine::ClassifyStructural(
   // --- keyword-match fingerprint ------------------------------------------
   // TF-IDF is corpus-wide, so a registration can move existing match
   // scores (idf shifts with the document count) or admit new matches.
-  // Exact equality proves a rebuilt query graph would be the old one
-  // plus the new base nodes/edges only.
+  // Equality of the bin-level match signature proves a rebuilt query
+  // graph would be the old one plus the new base nodes/edges only.
+  const query::QueryGraph& qg = view.query_graph();
   if (query::KeywordMatchFingerprint(index, view.keywords(),
-                                     view.config().query_graph) !=
-      cert.keyword_fingerprint) {
-    return fall_through();
+                                     view.config().query_graph,
+                                     qg.num_bins) != cert.keyword_fingerprint) {
+    return fall_through(
+        &RefreshEngineStats::structural_fallthrough_fingerprint);
   }
 
   // --- concurrent weight delta --------------------------------------------
@@ -673,24 +694,30 @@ AsyncViewClass RefreshEngine::ClassifyStructural(
   if (slot->weight_revision != weights.revision()) {
     std::vector<graph::FeatureDelta> weight_deltas;
     if (!weights.DeltaSince(slot->weight_revision, &weight_deltas)) {
-      return fall_through();
+      return fall_through(&RefreshEngineStats::structural_fallthrough_journal);
     }
     graph::CoalesceFeatureDeltas(&weight_deltas);
+    // A weight delta the weight gate cannot discharge voids the cost
+    // bound the distance rule rests on.
     std::vector<steiner::RepricedEdge> preview;
-    if (!slot->engine->PreviewDelta(view.query_graph().graph, weights,
-                                    weight_deltas, &preview)) {
-      return fall_through();
+    if (!slot->engine->PreviewDelta(qg.graph, weights, weight_deltas,
+                                    &preview)) {
+      return fall_through(
+          &RefreshEngineStats::structural_fallthrough_distance);
     }
     RelevanceDecision weight_decision = ClassifyDeltaRelevance(cert, preview);
-    if (!weight_decision.skip) return fall_through();
+    if (!weight_decision.skip) {
+      return fall_through(
+          &RefreshEngineStats::structural_fallthrough_distance);
+    }
     net_decrease = weight_decision.net_decrease;
   }
 
   // --- attachment set -----------------------------------------------------
   // Old endpoints of new edges: where new topology meets the graph the
   // certificate describes. Base node ids are preserved id-for-id in the
-  // cached query graph (infinite association threshold), so attachments
-  // live in both id spaces.
+  // cached query graph's base prefix (infinite association threshold), so
+  // attachments live in both id spaces.
   std::vector<graph::NodeId> attachments;
   for (std::uint32_t e : added_edges) {
     const graph::EdgeView edge = base.edge(e);
@@ -712,19 +739,23 @@ AsyncViewClass RefreshEngine::ClassifyStructural(
   // safety argument there. Every neighborhood node has at least one old
   // incident edge in cert.edges, so intersecting each attachment's old
   // incident edges against the certificate detects contact exactly.
-  const graph::SearchGraph& old_query_graph = view.query_graph().graph;
   for (graph::NodeId a : attachments) {
-    if (a >= old_query_graph.num_nodes()) return fall_through();
-    for (graph::EdgeId e : old_query_graph.edges_of(a)) {
+    if (a >= qg.base_nodes) {
+      return fall_through(&RefreshEngineStats::structural_fallthrough_contact);
+    }
+    for (graph::EdgeId e : qg.graph.edges_of(a)) {
       if (std::binary_search(cert.edges.begin(), cert.edges.end(), e)) {
-        return fall_through();
+        return fall_through(
+            &RefreshEngineStats::structural_fallthrough_contact);
       }
     }
   }
 
   StructuralDecision decision =
       ClassifyStructuralRelevance(cert, attachments, net_decrease);
-  if (!decision.skip) return fall_through();
+  if (!decision.skip) {
+    return fall_through(&RefreshEngineStats::structural_fallthrough_distance);
+  }
   // Lazy repair, like the weight gate's kSkip: no commit, the journals
   // replay from the same baseline until a delta defeats the certificate
   // (or the serial quiescence path rebuilds the slot).

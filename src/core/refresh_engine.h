@@ -80,9 +80,13 @@ StructuralDecision ClassifyStructuralRelevance(
 // Aggregate counters for observability and the perf benches; cumulative
 // over the engine's lifetime.
 struct RefreshEngineStats {
-  // Full snapshot builds: query-graph re-expansion + CSR extraction (the
-  // *rebuild* classification, plus first-touch builds).
+  // Full snapshot builds: query-graph re-expansion or rebase + CSR
+  // extraction (the *rebuild* and *rebase* classifications, plus
+  // first-touch builds).
   std::size_t snapshots_built = 0;
+  // The subset of snapshots_built whose query graph was rebased in place
+  // rather than re-expanded from scratch.
+  std::size_t query_graphs_rebased = 0;
   // In-place refreshes: CSR re-costed (delta or full), topology kept.
   std::size_t snapshots_recosted = 0;
   // Refreshes that ran no search: nothing moved since the view's last
@@ -129,11 +133,25 @@ struct RefreshEngineStats {
   // Structural-certificate evaluations that ran (eligible slot: clean,
   // refreshed, certificate valid with structural half populated).
   std::size_t structural_gate_checks = 0;
-  // Evaluations that fell through to the serial rebuild path (journal
-  // truncated or polluted by old-entity mutations, fingerprint moved,
-  // attachment contact with the certificate neighborhood, or an
-  // attachment inside the reachable threshold).
+  // Graph-moved classifications that fell through to a structural repair
+  // (kStructuralRepair): ineligible slots plus checks that failed. Always the sum of the
+  // six reasons below, so checks + ineligible == fallthroughs + skips.
   std::size_t structural_gate_fallthroughs = 0;
+  // No check ran: gating off, dirty slot, no structural certificate (an
+  // approximate KMB search never certifies), or a certificate serial
+  // that does not match the slot's last committed search.
+  std::size_t structural_fallthrough_ineligible = 0;
+  // The graph or weight journal no longer reaches the slot's revision.
+  std::size_t structural_fallthrough_journal = 0;
+  // A pre-existing node or edge was mutated in the window.
+  std::size_t structural_fallthrough_mutation = 0;
+  // The bin-level keyword-match signature moved.
+  std::size_t structural_fallthrough_fingerprint = 0;
+  // An attachment touches the certificate neighborhood.
+  std::size_t structural_fallthrough_contact = 0;
+  // The cost bound failed: an attachment inside the reachable threshold,
+  // or a concurrent weight delta the weight gate cannot discharge.
+  std::size_t structural_fallthrough_distance = 0;
   // Views a registration provably could not affect (the structural
   // kSkippedIrrelevant class): like views_skipped_irrelevant the slot is
   // deliberately left stale, replaying the journals from the same
@@ -167,11 +185,18 @@ enum class AsyncViewClass {
   // repair task (RepairViewAsync): re-cost in place + re-search, no
   // query-graph rebuild, no shared-feature-space mutation.
   kRepair,
-  // The view needs the serial path (first-touch build, weight-dependent
-  // topology, or a structural/graph delta): repairing it re-expands the
-  // query graph, which mutates the shared feature space and the view's
-  // cached query graph — unsafe concurrent with other views' searches.
-  // The scheduler must quiesce and route it through RefreshView.
+  // A structural delta the structural certificate could not discharge,
+  // on a built slot with weight-independent topology: the cached query
+  // graph must be rebased, which mutates the shared feature space, the
+  // view's query graph and the slot engine — so the scheduler quiesces
+  // and runs PrepareStructuralRepair under its exclusive serving gate —
+  // but the search that follows is an ordinary background repair
+  // (RepairViewAsync).
+  kStructuralRepair,
+  // The view needs the serial path (first-touch build or
+  // weight-dependent topology): repairing it re-expands the query graph
+  // with weights the async repair cannot reproduce. The scheduler must
+  // quiesce and route it through RefreshView.
   kSerialOnly,
 };
 
@@ -189,17 +214,22 @@ enum class AsyncViewClass {
 // built against, bumps the engine generation when either moved, and per
 // generation classifies every view by reading the journals:
 //
-//   * rebuild       — topology may have changed (node/edge additions,
-//                     node mutations, a truncated structural journal, or
-//                     weight-dependent topology): phase 1 re-expands the
-//                     view's query graph and re-extracts its CSR;
+//   * rebase        — node/edge additions: phase 1 rebases the view's
+//                     cached query graph (TopKView::RebaseQueryGraph —
+//                     overlay truncated, base delta appended, overlay
+//                     replayed, bit-identical to a re-expansion) and
+//                     re-extracts its CSR;
+//   * rebuild       — first touch, a mutated pre-existing node, a
+//                     truncated structural journal, or weight-dependent
+//                     topology: the rebase falls back to re-expanding the
+//                     whole query graph, then re-extracts its CSR;
 //   * full re-cost  — unchanged topology but the weight journal was
 //                     truncated or the delta was dense: the snapshot is
 //                     re-costed wholesale in place (CsrGraph::Recost) and
 //                     the shortest-path cache moves to a new generation;
 //   * delta re-cost — the weight delta (plus any in-place base-edge
-//                     mutations, propagated into the cached query graph
-//                     by TopKView::PropagateBaseEdges) maps through the
+//                     mutations, patched into the cached query graph by
+//                     the rebase's no-addition case) maps through the
 //                     snapshot's feature->edge postings to a sparse edge
 //                     set: only those edges are repriced
 //                     (CsrGraph::RecostDelta) and the shortest-path cache
@@ -378,12 +408,14 @@ class RefreshEngine {
     // date. The retry must re-run the search instead.
     bool dirty = false;
     // Base revision the cached query graph (and engine topology) was
-    // last brought to, even when the rebuild's search has not committed
-    // yet (CommitSlot records graph_revision only after a successful
-    // search). Only meaningful while `dirty`: a dirty slot whose
+    // last brought to by this slot — rebuild, rebase, or commit — even
+    // when the rebuild's search has not committed yet (CommitSlot records
+    // graph_revision only after a successful search). A dirty slot whose
     // prepared revision equals the current base revision needs no
-    // rebuild/propagation — just reconciliation + search — which lets
-    // the async repair path finish a prepared structural rebuild.
+    // rebuild/rebase — just reconciliation + search — which lets the
+    // async repair path finish a prepared structural rebuild; a cached
+    // query graph whose own base revision differs was rebuilt out of
+    // band, so the slot re-expands it instead of rebasing.
     std::uint64_t prepared_graph_revision = 0;
     // Serial of the view certificate produced by the last search this
     // engine committed. The relevance gate requires the view's current
@@ -441,7 +473,7 @@ class RefreshEngine {
   // check: an attachment whose old incident edges intersect the
   // certificate neighborhood falls through, since a new edge there can
   // change the ranked union's column folding without moving any cost).
-  // Returns kSkippedIrrelevant or kSerialOnly.
+  // Returns kSkippedIrrelevant or kStructuralRepair.
   AsyncViewClass ClassifyStructural(Slot* slot,
                                     const graph::SearchGraph& base,
                                     const text::TextIndex& index,

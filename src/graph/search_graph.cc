@@ -1,5 +1,6 @@
 #include "graph/search_graph.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/dary_heap.h"
@@ -317,6 +318,51 @@ void SearchGraph::SetNodeValueText(NodeId id, std::string text) {
   } else {
     value_text_[id] = std::move(text);
   }
+}
+
+void SearchGraph::TruncateTo(std::size_t num_nodes, std::size_t num_edges) {
+  Q_CHECK(num_nodes <= nodes_.size() && num_edges <= edge_u_.size());
+  if (num_nodes == nodes_.size() && num_edges == edge_u_.size()) return;
+  journal_.Truncate();
+  // Newest first, so each popped edge is the current tail of both of its
+  // endpoints' adjacency blocks.
+  for (std::size_t e = edge_u_.size(); e-- > num_edges;) {
+    const EdgeId id = static_cast<EdgeId>(e);
+    for (NodeId n : {edge_u_[e], edge_v_[e]}) {
+      AdjSlot& slot = adj_[n];
+      Q_CHECK(slot.count > 0 &&
+              adj_arena_[slot.offset + slot.count - 1] == id);
+      --slot.count;
+    }
+    if (static_cast<EdgeKind>(edge_kind_[e]) == EdgeKind::kAssociation) {
+      auto it = association_index_.find(PairKey(edge_u_[e], edge_v_[e]));
+      if (it != association_index_.end() && it->second == id) {
+        association_index_.erase(it);
+      }
+    }
+    edge_joins_.erase(id);
+  }
+  edge_u_.resize(num_edges);
+  edge_v_.resize(num_edges);
+  edge_kind_.resize(num_edges);
+  edge_flags_.resize(num_edges);
+  edge_feature_.resize(num_edges);
+  edge_prov_.resize(num_edges);
+
+  for (std::size_t n = nodes_.size(); n-- > num_nodes;) {
+    // A popped node's remaining incident edges must all be popped too.
+    Q_CHECK(adj_[n].count == 0);
+    node_index_.erase(IndexKey(nodes_[n].kind, nodes_[n].label));
+    value_text_.erase(static_cast<NodeId>(n));
+  }
+  nodes_.resize(num_nodes);
+  adj_.resize(num_nodes);
+  // Trim the arena past the last block a kept node still owns.
+  std::size_t arena_end = 0;
+  for (const AdjSlot& slot : adj_) {
+    arena_end = std::max<std::size_t>(arena_end, slot.offset + slot.capacity);
+  }
+  adj_arena_.resize(arena_end);
 }
 
 EdgeId SearchGraph::AddAssociationEdge(NodeId a, NodeId b,

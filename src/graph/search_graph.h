@@ -335,6 +335,17 @@ class SearchGraph {
   // Sets a node's value text (kValue nodes).
   void SetNodeValueText(NodeId id, std::string text);
 
+  // Pops the tail nodes [num_nodes, this->num_nodes()) and tail edges
+  // [num_edges, this->num_edges()) as if they had never been added:
+  // lookups, adjacency blocks (tail edge ids are always block tails),
+  // value text and join side tables forget them, and re-adding assigns
+  // the same ids again. No kept edge may touch a popped node. Interned
+  // feature/provenance payloads linger in the pools (see
+  // FeatureVecPool). A dense change no record list describes, so the
+  // journal is truncated (DeltaSince reports truncation for every
+  // earlier revision).
+  void TruncateTo(std::size_t num_nodes, std::size_t num_edges);
+
   // Monotone mutation counter: bumped by every AddNode/AddEdge and by each
   // Set*/Overwrite* mutation. Snapshot consumers (the RefreshEngine's CSR
   // snapshots) compare revisions to detect that a graph changed

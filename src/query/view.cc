@@ -30,26 +30,19 @@ util::Status TopKView::RebuildQueryGraph(const graph::SearchGraph& base,
   return util::Status::OK();
 }
 
-bool TopKView::PropagateBaseEdges(const graph::SearchGraph& base,
-                                  const std::vector<graph::EdgeId>& edges) {
-  if (!refreshed()) return false;  // no cached query graph to patch
-  // Verify-then-apply in two passes: a failed check must leave the cached
-  // graph untouched so the caller's rebuild starts from consistent state.
-  for (graph::EdgeId e : edges) {
-    if (e >= base.num_edges() || e >= query_graph_.graph.num_edges()) {
-      return false;
-    }
-    const graph::EdgeView src = base.edge(e);
-    const graph::EdgeView dst = query_graph_.graph.edge(e);
-    if (src.u != dst.u || src.v != dst.v || src.kind != dst.kind ||
-        src.fixed_zero != dst.fixed_zero) {
-      return false;
-    }
+util::Result<RebaseKind> TopKView::RebaseQueryGraph(
+    const graph::SearchGraph& base, const text::TextIndex& index,
+    graph::CostModel* model, const graph::WeightVector& weights,
+    std::vector<graph::EdgeId>* patched_edges) {
+  Q_ASSIGN_OR_RETURN(RebaseKind kind,
+                     query::RebaseQueryGraph(base, index, model, weights,
+                                             config_.query_graph,
+                                             &query_graph_, patched_edges));
+  if (kind == RebaseKind::kRebased || kind == RebaseKind::kRebuilt) {
+    // Overlay edge ids moved; the next RunSearch re-certifies.
+    certificate_.valid = false;
   }
-  for (graph::EdgeId e : edges) {
-    query_graph_.graph.OverwriteEdge(e, base.ExportEdge(e));
-  }
-  return true;
+  return kind;
 }
 
 util::Result<ViewSnapshot> TopKView::BuildSearchSnapshot(

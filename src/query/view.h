@@ -70,9 +70,11 @@ struct ViewResult {
 // A refresh has two phases, exposed separately so the batched
 // RefreshEngine can skip or share work across views:
 //   1. RebuildQueryGraph — re-expand the base search graph for this
-//      view's keywords (graph copy + text-index matching). Skippable when
-//      only weights changed and the query-graph topology is
-//      weight-independent (see refresh_engine.h).
+//      view's keywords (graph copy + text-index matching), or its
+//      incremental form RebaseQueryGraph, which patches the cached graph
+//      in O(base delta + keyword overlay). Skippable when only weights
+//      changed and the query-graph topology is weight-independent (see
+//      refresh_engine.h).
 //   2. RunSearch — top-k Steiner search over the current query graph,
 //      tree compilation, execution, and ranked union. Optionally served
 //      from a caller-owned CSR snapshot.
@@ -82,7 +84,9 @@ struct ViewResult {
 class TopKView {
  public:
   TopKView(std::vector<std::string> keywords, ViewConfig config)
-      : keywords_(std::move(keywords)), config_(config) {}
+      : keywords_(std::move(keywords)), config_(config) {
+    query_graph_.keywords = keywords_;
+  }
 
   util::Status Refresh(const graph::SearchGraph& base,
                        const relational::Catalog& catalog,
@@ -117,26 +121,27 @@ class TopKView {
   // concurrent serving path (core::RefreshEngine::SearchView), which may
   // run any number of BuildSearchSnapshot calls on one view concurrently
   // with each other and with pinned engine re-costs, but NOT concurrently
-  // with RebuildQueryGraph/PropagateBaseEdges (those mutate query_graph_;
+  // with RebuildQueryGraph/RebaseQueryGraph (those mutate query_graph_;
   // the serving gate upstream excludes them).
   util::Result<ViewSnapshot> BuildSearchSnapshot(
       const relational::Catalog& catalog, const graph::WeightVector& weights,
       steiner::FastSteinerEngine* shared_engine,
       const steiner::SnapshotPin* pin) const;
 
-  // Delta alternative to phase 1 for in-place base-edge mutations (the
-  // kEdgeMutated structural journal records): copies each listed base
-  // edge over the cached query graph's copy of it. Sound because a query
-  // graph built with the default infinite association_cost_threshold
-  // copies every base edge id-for-id (keyword/value additions only append
-  // after them), and keyword matching never reads edge state — so the
-  // patched cached graph is bit-identical to what RebuildQueryGraph would
-  // produce. Verifies before mutating and returns false — with the cached
-  // graph untouched — when any edge cannot be propagated in place (no
-  // cached graph yet, id out of range, or endpoints/kind/fixed_zero
-  // drift); the caller must then fall back to a full rebuild.
-  bool PropagateBaseEdges(const graph::SearchGraph& base,
-                          const std::vector<graph::EdgeId>& edges);
+  // Incremental alternative to phase 1: rebases the cached query graph
+  // onto the current base graph (query::RebaseQueryGraph) instead of
+  // re-copying the catalog — overlay truncated, base delta appended,
+  // overlay replayed — falling back to the full re-expansion where the
+  // prefix cannot be patched. The result is bit-identical to what
+  // RebuildQueryGraph would produce. kPatched (only pre-existing base
+  // edges mutated in place) keeps every id, so the caller may reprice
+  // just `patched_edges` in its existing snapshot; kRebased/kRebuilt
+  // change topology and invalidate the certificate's edge ids. Fails,
+  // with the cached graph untouched, exactly when RebuildQueryGraph would.
+  util::Result<RebaseKind> RebaseQueryGraph(
+      const graph::SearchGraph& base, const text::TextIndex& index,
+      graph::CostModel* model, const graph::WeightVector& weights,
+      std::vector<graph::EdgeId>* patched_edges);
 
   const std::vector<std::string>& keywords() const { return keywords_; }
   const ViewConfig& config() const { return config_; }
@@ -169,7 +174,8 @@ class TopKView {
   // trees()/queries()/results(). `certificate().serial` identifies the
   // search it describes; the RefreshEngine compares it against the serial
   // it committed to detect certificates from out-of-band refreshes.
-  // Invalid until the first search and after every query-graph rebuild.
+  // Invalid until the first search and after every query-graph rebuild
+  // or rebase that changed topology.
   const steiner::RelevanceCertificate& certificate() const {
     return certificate_;
   }

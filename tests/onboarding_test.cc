@@ -22,7 +22,9 @@
 
 #include "core/q_system.h"
 #include "core/refresh_engine.h"
+#include "data/interpro_go.h"
 #include "data/onboarding.h"
+#include "data/synthetic.h"
 #include "util/random.h"
 
 namespace q::core {
@@ -330,6 +332,133 @@ TEST(OnboardingTest, OnboardedSourceAppearsInRelevantViewTopK) {
   }
   EXPECT_TRUE(appears)
       << "onboarded source joins no compiled query of the relevant view";
+}
+
+// --- a skipped registration meets later feedback --------------------------
+
+TEST(OnboardingTest, FeedbackRebasesASkippedRegistrationWithoutASerialSearch) {
+  OnbHarness h(/*communities=*/4, /*k=*/2, /*async=*/true);
+  ASSERT_TRUE(h.q->DrainRefreshes().ok());
+  ASSERT_TRUE(h.q->RegisterAndAlignSource(data::MakeDisjointSource(0)).ok());
+  ASSERT_TRUE(h.q->DrainRefreshes().ok());
+  const auto sched_before = h.q->async_scheduler()->stats();
+  ASSERT_EQ(sched_before.structural_skips, h.view_ids.size());
+
+  // Endorsing view 0's second tree moves weights its certificate (and
+  // the certificates sharing those features) depends on, so the skipped
+  // registration is no longer provably irrelevant there: those views are
+  // rebased inside the ack, and their searches queued like any repair.
+  const auto state = h.q->ReadView(h.view_ids[0]).state;
+  ASSERT_EQ(state->trees.size(), 2u);
+  ASSERT_TRUE(h.q->ApplyFeedback(h.view_ids[0], state->trees[1]).ok());
+  const auto sched_after = h.q->async_scheduler()->stats();
+  EXPECT_EQ(sched_after.serial_repairs, sched_before.serial_repairs);
+  EXPECT_GT(sched_after.structural_rebuilds, sched_before.structural_rebuilds);
+  ASSERT_TRUE(h.q->DrainRefreshes().ok());
+
+  OnbHarness twin(/*communities=*/4, /*k=*/2, /*async=*/false);
+  ASSERT_TRUE(
+      twin.q->RegisterAndAlignSource(data::MakeDisjointSource(0)).ok());
+  const auto twin_state = twin.q->ReadView(twin.view_ids[0]).state;
+  ASSERT_EQ(twin_state->trees.size(), 2u);
+  ASSERT_TRUE(twin.q->ApplyFeedback(twin.view_ids[0], twin_state->trees[1])
+                  .ok());
+  for (std::size_t i = 0; i < h.view_ids.size(); ++i) {
+    ExpectSameViewState(*h.q->ReadView(h.view_ids[i]).state,
+                        *twin.q->ReadView(twin.view_ids[i]).state,
+                        "view " + std::to_string(i));
+  }
+}
+
+// --- the bin-level fingerprint on a grown catalog -------------------------
+
+// The InterPro-GO serving catalog grown by 2,000 streaming-catalog
+// sources, unsharded, with one view per answerable dataset query. Every
+// registration adds documents to the text index, so idf — and with it
+// every raw TF-IDF match score — moves; only the mismatch-cost bins a
+// query graph is built from are stable.
+struct GrownCatalog {
+  std::unique_ptr<QSystem> q;
+  std::vector<std::size_t> view_ids;
+
+  explicit GrownCatalog(bool async) {
+    data::InterProGoConfig dataset_config;
+    dataset_config.num_go_terms = 120;
+    dataset_config.num_entries = 90;
+    dataset_config.num_pubs = 80;
+    dataset_config.num_journals = 10;
+    dataset_config.num_methods = 60;
+    dataset_config.interpro2go_links = 200;
+    dataset_config.entry2pub_links = 160;
+    dataset_config.method2pub_links = 120;
+    const data::InterProGoDataset dataset =
+        data::BuildInterProGo(dataset_config);
+    QSystemConfig config;
+    config.view.query_graph.min_similarity = 0.5;
+    config.view.query_graph.max_matches_per_keyword = 6;
+    config.steiner_threads = -1;
+    config.async_refresh = async;
+    config.async_repair_threads = async ? 1 : 0;
+    q = std::make_unique<QSystem>(config);
+    for (const auto& src : dataset.catalog.sources()) {
+      Q_CHECK_OK(q->RegisterSource(src));
+    }
+    Q_CHECK_OK(q->RunInitialAlignment());
+    util::Rng rng(99);
+    data::StreamingCatalogOptions streaming;
+    streaming.source_prefix = "gsrc";
+    Q_CHECK_OK(data::BuildStreamingCatalog(2000, streaming, &rng, nullptr,
+                                           &q->cost_model(),
+                                           &q->mutable_search_graph()));
+    for (const auto& keywords : dataset.keyword_queries) {
+      auto id = q->CreateView(keywords);
+      if (id.ok()) view_ids.push_back(*id);
+    }
+  }
+};
+
+TEST(OnboardingTest, DisjointSourceSkipsEveryEligibleViewOnAGrownCatalog) {
+  GrownCatalog h(/*async=*/true);
+  ASSERT_GE(h.view_ids.size(), 5u);
+  // The first registration's alignment step re-features the streaming
+  // catalog's association edges (ReconcileMissingMatcherFeatures gives
+  // them the silent matchers' penalty features), a mutation of
+  // pre-existing edges no certificate can discharge. Later registrations
+  // find them reconciled.
+  ASSERT_TRUE(h.q->RegisterAndAlignSource(data::MakeDisjointSource(0)).ok());
+  ASSERT_TRUE(h.q->DrainRefreshes().ok());
+  std::vector<query::ViewResult> before;
+  for (std::size_t id : h.view_ids) before.push_back(h.q->ReadView(id));
+  const auto engine_before = h.q->refresh_engine().stats();
+
+  ASSERT_TRUE(h.q->RegisterAndAlignSource(data::MakeDisjointSource(1)).ok());
+  const auto engine_after = h.q->refresh_engine().stats();
+  const std::size_t checks = engine_after.structural_gate_checks -
+                             engine_before.structural_gate_checks;
+  const std::size_t skips = engine_after.views_skipped_structural -
+                            engine_before.views_skipped_structural;
+  EXPECT_GT(checks, 0u);
+  EXPECT_EQ(skips, checks) << "an eligible view fell through";
+  ASSERT_TRUE(h.q->DrainRefreshes().ok());
+
+  // The skipped views' published output is what a synchronous twin that
+  // rebuilt them after the same registrations serves.
+  GrownCatalog twin(/*async=*/false);
+  ASSERT_EQ(twin.view_ids.size(), h.view_ids.size());
+  for (std::size_t serial : {0, 1}) {
+    ASSERT_TRUE(
+        twin.q->RegisterAndAlignSource(data::MakeDisjointSource(serial)).ok());
+  }
+  std::size_t compared = 0;
+  for (std::size_t i = 0; i < h.view_ids.size(); ++i) {
+    query::ViewResult now = h.q->ReadView(h.view_ids[i]);
+    if (now.state.get() != before[i].state.get()) continue;  // repaired
+    ++compared;
+    ExpectSameViewState(*now.state,
+                        *twin.q->ReadView(twin.view_ids[i]).state,
+                        "skipped view " + std::to_string(i));
+  }
+  EXPECT_EQ(compared, skips);
 }
 
 // --- randomized differential vs a from-scratch serial twin ----------------

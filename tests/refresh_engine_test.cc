@@ -68,9 +68,10 @@ struct Harness {
   std::vector<std::size_t> view_ids;
 
   explicit Harness(int steiner_threads, bool use_sp_cache,
-                   std::size_t num_views = 3) {
+                   std::size_t num_views = 3, bool async = false) {
     dataset = data::BuildInterProGo(SmallDataset());
     QSystemConfig config;
+    config.async_refresh = async;
     config.steiner_threads = steiner_threads;
     config.view.top_k.use_sp_cache = use_sp_cache;
     config.view.query_graph.min_similarity = 0.5;
@@ -465,6 +466,103 @@ TEST(RefreshEngineTest, TruncatedJournalFallsBackToFullRecost) {
 // after every step the batched delta pipeline must match independent
 // refreshes bit for bit, whatever mix of skip/delta/full/rebuild the
 // classification picked.
+// A query graph rebuilt out of band (TopKView::Refresh) after the base
+// moved no longer shares the prefix the slot's CSR mirrors: the engine
+// must re-expand it and build a new snapshot, not treat the already
+// current graph as unchanged and keep the stale CSR.
+TEST(RefreshEngineTest, OutOfBandRebuildIsReExpandedNotRebased) {
+  Harness h(-1, true);
+  auto go_term = h.dataset.catalog.FindTable("go.go_term");
+  ASSERT_NE(go_term, nullptr);
+  auto source = std::make_shared<relational::DataSource>("oob");
+  auto copy = std::make_shared<relational::Table>(relational::RelationSchema(
+      "oob", "go_term", go_term->schema().attributes()));
+  for (const auto& row : go_term->rows()) {
+    ASSERT_TRUE(copy->AppendRow(row).ok());
+  }
+  ASSERT_TRUE(source->AddTable(copy).ok());
+  // RegisterSource moves the base without refreshing any view; the
+  // out-of-band refresh then brings every query graph past its slot.
+  ASSERT_TRUE(h.q->RegisterSource(source).ok());
+  h.IndependentRefresh();
+  const auto before = h.q->refresh_engine().stats();
+  ASSERT_TRUE(h.q->RefreshAllViews().ok());
+  const auto after = h.q->refresh_engine().stats();
+  EXPECT_EQ(after.snapshots_built - before.snapshots_built,
+            h.view_ids.size());
+  EXPECT_EQ(after.query_graphs_rebased, before.query_graphs_rebased);
+
+  auto batched = h.BatchedStates();
+  auto independent = h.IndependentRefresh();
+  for (std::size_t i = 0; i < batched.size(); ++i) {
+    ExpectSameState(independent[i], batched[i],
+                    "out-of-band view " + std::to_string(i));
+  }
+}
+
+// Every structural-gate fall-through is attributed to exactly one reason,
+// and every graph-moved classification is either a skip or a
+// fall-through (ineligible slots are fall-throughs without a check).
+TEST(RefreshEngineTest, StructuralFallthroughReasonsSumToFallthroughs) {
+  Harness h(-1, true, /*num_views=*/6, /*async=*/true);
+  ASSERT_TRUE(h.q->DrainRefreshes().ok());
+  auto pub = h.dataset.catalog.FindTable("interpro.pub");
+  ASSERT_NE(pub, nullptr);
+  // A copy of a catalog table under a new source (moves the keyword match
+  // set and aligns with the original), a vocabulary-disjoint island, a
+  // merge into an existing association, and feedback, interleaved.
+  auto clone = [&](int serial) {
+    const std::string name = "clone" + std::to_string(serial);
+    auto source = std::make_shared<relational::DataSource>(name);
+    auto copy = std::make_shared<relational::Table>(
+        relational::RelationSchema(name, "pub", pub->schema().attributes()));
+    for (const auto& row : pub->rows()) {
+      Q_CHECK_OK(copy->AppendRow(row));
+    }
+    Q_CHECK_OK(source->AddTable(copy));
+    return source;
+  };
+  auto island = [](int serial) {
+    const std::string name = "island" + std::to_string(serial);
+    auto source = std::make_shared<relational::DataSource>(name);
+    auto table = std::make_shared<relational::Table>(
+        relational::RelationSchema(name, "zzq" + std::to_string(serial),
+                                   {{"zzqa", relational::ValueType::kString}}));
+    Q_CHECK_OK(table->AppendRow({relational::Value("zzqv")}));
+    Q_CHECK_OK(source->AddTable(table));
+    return source;
+  };
+  match::AlignmentCandidate candidate;
+  candidate.a = relational::AttributeId{"go", "go_term", "name"};
+  candidate.b = relational::AttributeId{"interpro", "method", "name"};
+  candidate.confidence = 0.6;
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_TRUE(h.q->RegisterAndAlignSource(island(round)).ok());
+    ASSERT_TRUE(h.q->RegisterAndAlignSource(clone(round)).ok());
+    candidate.matcher = "manual" + std::to_string(round % 2);
+    ASSERT_TRUE(h.q->AddAssociations({candidate}).ok());
+    ASSERT_TRUE(h.q->RegisterAndAlignSource(island(10 + round)).ok());
+    const auto state = h.q->ReadView(h.view_ids[0]).state;
+    ASSERT_FALSE(state->trees.empty());
+    ASSERT_TRUE(h.q->ApplyFeedback(h.view_ids[0], state->trees.back()).ok());
+    ASSERT_TRUE(h.q->DrainRefreshes().ok());
+  }
+
+  const RefreshEngineStats s = h.q->refresh_engine().stats();
+  const std::size_t reasons =
+      s.structural_fallthrough_ineligible + s.structural_fallthrough_journal +
+      s.structural_fallthrough_mutation + s.structural_fallthrough_fingerprint +
+      s.structural_fallthrough_contact + s.structural_fallthrough_distance;
+  EXPECT_EQ(reasons, s.structural_gate_fallthroughs);
+  EXPECT_EQ(s.structural_gate_checks + s.structural_fallthrough_ineligible,
+            s.structural_gate_fallthroughs + s.views_skipped_structural);
+  EXPECT_GT(s.structural_gate_fallthroughs, 0u);
+  // The clone moves the match sets its keywords reach, and the merge
+  // mutates a pre-existing edge.
+  EXPECT_GT(s.structural_fallthrough_fingerprint, 0u);
+  EXPECT_GT(s.structural_fallthrough_mutation, 0u);
+}
+
 TEST(RefreshEngineTest, RandomizedDeltaSequenceMatchesIndependent) {
   Harness h(-1, true);
   ASSERT_TRUE(h.q->RefreshAllViews().ok());
