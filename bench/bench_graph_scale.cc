@@ -9,8 +9,9 @@
 //   - terminal-local query latency: p95 of sharded top-k Steiner
 //     searches with same-domain terminals, at 10k and 100k sources.
 //     Sharded results are cross-checked bit-identical against the
-//     unsharded engine on a query subset — exit 2 on divergence — so
-//     this run is a correctness gate as well as a perf probe.
+//     unsharded engine on a query subset — exit 2 on divergence, and
+//     on any masked SP tree that bypassed the compacted path — so this
+//     run is a correctness gate as well as a perf probe.
 //
 // Smoke mode covers 10k + 100k (the scales check.sh gates); the full
 // run adds the 1M-source materialization from the roadmap's acceptance
@@ -212,8 +213,8 @@ bool RunScale(std::size_t sources, bool mirror_legacy, bool run_queries,
       return false;
     }
     // Best-of-2 per query: each run builds a fresh localizer and mask
-    // (mask uids are monotone, so the local-tree cache is cold both
-    // times) — the repeat preserves the cold-query semantics and sheds
+    // (and masked solves never cache trees, so both runs do the same
+    // work) — the repeat preserves the cold-query semantics and sheds
     // only OS noise, which otherwise dominates a 24-sample p95 and
     // makes the cross-tier growth ratio flap.
     std::vector<q::steiner::SteinerTree> trees;
@@ -231,10 +232,10 @@ bool RunScale(std::size_t sources, bool mirror_legacy, bool run_queries,
       q::steiner::FastSolveStats st = sharded_engine.stats();
       std::fprintf(stderr,
                    "%-8s query %2d  %4zu terminals  %10.1f us  "
-                   "hits=%zu misses=%zu ghits=%zu gmisses=%zu bypass=%zu\n",
+                   "masked=%zu ghits=%zu gmisses=%zu bypass=%zu\n",
                    suffix, query, terminals.size(), latencies_us.back(),
-                   st.sp_local_hits, st.sp_local_misses, st.sp_cache_hits,
-                   st.sp_cache_misses, st.masked_bypasses);
+                   st.sp_local_misses, st.sp_cache_hits, st.sp_cache_misses,
+                   st.masked_bypasses);
     }
     if (query < verify_queries) {
       auto check_same = [&](const std::vector<q::steiner::SteinerTree>& other,
@@ -281,22 +282,26 @@ bool RunScale(std::size_t sources, bool mirror_legacy, bool run_queries,
                  "\"median_us\":%.1f}\n",
                  suffix, sources, query_p50_us);
   }
-  // Local-tree cache traffic of the compacted configuration. Bypasses
-  // count masked solves that fell back to the uncompacted referee path —
-  // with compaction enabled and localizer-built masks this should stay 0.
+  // Masked SP trees of the compacted configuration. Bypasses count
+  // trees computed by the uncompacted referee path instead — with
+  // compaction enabled and localizer-built masks that is a bug, so it
+  // fails the run.
   q::steiner::FastSolveStats stats = sharded_engine.stats();
-  std::printf("%-8s local sp-cache: %zu hits / %zu misses, "
-              "%zu masked bypasses\n",
-              suffix, stats.sp_local_hits, stats.sp_local_misses,
-              stats.masked_bypasses);
+  std::printf("%-8s masked sp-trees: %zu compacted, %zu bypasses\n", suffix,
+              stats.sp_local_misses, stats.masked_bypasses);
   if (json != nullptr) {
     std::fprintf(json,
-                 "{\"kernel\":\"graph_scale_local_cache_%s\",\"n\":%zu,"
-                 "\"median_us\":%.1f,\"local_hits\":%zu,\"local_misses\":%zu,"
-                 "\"masked_bypasses\":%zu}\n",
-                 suffix, sources, static_cast<double>(stats.sp_local_hits),
-                 stats.sp_local_hits, stats.sp_local_misses,
+                 "{\"kernel\":\"graph_scale_masked_trees_%s\",\"n\":%zu,"
+                 "\"masked_trees\":%zu,\"masked_bypasses\":%zu}\n",
+                 suffix, sources, stats.sp_local_misses,
                  stats.masked_bypasses);
+  }
+  if (stats.masked_bypasses > 0) {
+    std::fprintf(stderr,
+                 "FAIL: %zu masked SP trees bypassed the compacted path at "
+                 "%zu sources\n",
+                 stats.masked_bypasses, sources);
+    return false;
   }
   return true;
 }

@@ -1,14 +1,30 @@
 #include "align/view_context.h"
 
 #include <optional>
+#include <string>
 
 namespace q::align {
 
-AlignContext ContextFromView(const query::TopKView& view,
-                             const graph::SearchGraph& search_graph,
-                             const graph::FeatureSpace& space,
-                             const graph::WeightVector& weights, int top_y,
-                             std::size_t preferential_budget) {
+std::vector<std::pair<graph::NodeId, double>> RelationVertexPrior(
+    const graph::SearchGraph& search_graph, const graph::FeatureSpace& space,
+    const graph::WeightVector& weights) {
+  std::vector<std::pair<graph::NodeId, double>> prior;
+  for (graph::NodeId n = 0; n < search_graph.num_nodes(); ++n) {
+    if (search_graph.node(n).kind != graph::NodeKind::kRelation) continue;
+    graph::FeatureId fid;
+    std::string feature_name = "rel:" + search_graph.node(n).label;
+    if (space.Find(feature_name, &fid)) {
+      prior.emplace_back(n, -weights.At(fid));
+    }
+  }
+  return prior;
+}
+
+AlignContext ContextFromView(
+    const query::TopKView& view, const graph::SearchGraph& search_graph,
+    const graph::WeightVector& weights, int top_y,
+    std::size_t preferential_budget,
+    std::vector<std::pair<graph::NodeId, double>> vertex_prior) {
   AlignContext ctx;
   ctx.alpha = view.Alpha();
   ctx.top_y = top_y;
@@ -37,15 +53,18 @@ AlignContext ContextFromView(const query::TopKView& view,
     }
   }
 
-  for (graph::NodeId n = 0; n < search_graph.num_nodes(); ++n) {
-    if (search_graph.node(n).kind != graph::NodeKind::kRelation) continue;
-    graph::FeatureId fid;
-    std::string feature_name = "rel:" + search_graph.node(n).label;
-    if (space.Find(feature_name, &fid)) {
-      ctx.vertex_prior.emplace_back(n, -weights.At(fid));
-    }
-  }
+  ctx.vertex_prior = std::move(vertex_prior);
   return ctx;
+}
+
+AlignContext ContextFromView(const query::TopKView& view,
+                             const graph::SearchGraph& search_graph,
+                             const graph::FeatureSpace& space,
+                             const graph::WeightVector& weights, int top_y,
+                             std::size_t preferential_budget) {
+  return ContextFromView(view, search_graph, weights, top_y,
+                         preferential_budget,
+                         RelationVertexPrior(search_graph, space, weights));
 }
 
 }  // namespace q::align

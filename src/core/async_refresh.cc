@@ -104,48 +104,11 @@ void AsyncRefreshScheduler::NotifyBaseChanged() {
   cv_.notify_all();
 
   if (!serial.empty() || !prepares.empty()) {
-    // Rebuilds and rebases mutate the shared feature space and the
-    // cached query graph, which concurrent repairs may be reading:
-    // quiesce first. The owner's feedback lock keeps new
-    // notifications out while we run. Concurrent QueryView readers are
-    // excluded by the serving gate — a rebuild replaces the slot's engine
-    // and query graph, which a gate-free reader could be mid-search on.
-    // (Taken after the drain: repair tasks never touch the gate, so the
-    // drain cannot deadlock against it.)
-    queue_.Drain();
-    std::unique_lock<util::SharedMutex> serve_lock;
-    if (serve_gate_ != nullptr) {
-      serve_lock = std::unique_lock<util::SharedMutex>(*serve_gate_);
-    }
-    for (std::size_t slot : serial) {
-      util::Status status = engine_->RefreshView(
-          slot, *base_, *catalog_, *index_, model_, *weights_);
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.serial_repairs;
-      if (status.ok()) {
-        validated_[slot] = epoch_;
-      } else if (repair_error_.ok()) {
-        repair_error_ = status;
-      }
-    }
-    // The synchronous half of a structural repair, as in
-    // NotifyStructuralChange: the search joins this round's repairs
-    // against the weights frozen above (the live vector cannot move
-    // while our caller holds its feedback lock).
-    for (std::size_t slot : prepares) {
-      auto need_search = engine_->PrepareStructuralRepair(
-          slot, *base_, *index_, model_, *weights_);
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.structural_rebuilds;
-      if (!need_search.ok()) {
-        if (repair_error_.ok()) repair_error_ = need_search.status();
-      } else if (*need_search) {
-        repairs.push_back(slot);
-      } else {
-        validated_[slot] = epoch_;
-      }
-    }
-    cv_.notify_all();
+    // The synchronous searches of this round use the live weights; the
+    // prepared slots' searches join this round's repairs against the
+    // weights frozen above (the live vector cannot move while our caller
+    // holds its feedback lock).
+    RunSynchronousRepairs(serial, prepares, &repairs);
   }
 
   {
@@ -159,7 +122,8 @@ void AsyncRefreshScheduler::NotifyBaseChanged() {
 
 util::Status AsyncRefreshScheduler::NotifyStructuralChange() {
   std::vector<std::size_t> repairs;
-  std::vector<std::size_t> rebuilds;
+  std::vector<std::size_t> serial;
+  std::vector<std::size_t> prepares;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.structural_rounds;
@@ -168,9 +132,9 @@ util::Status AsyncRefreshScheduler::NotifyStructuralChange() {
     for (std::size_t slot = 0; slot < views_.size(); ++slot) {
       if (queue_.Busy(slot)) {
         // The caller quiesced before mutating the base, so this should
-        // not happen; routed to the serial rebuild list for safety (a
-        // busy slot's engine state cannot be classified from here).
-        rebuilds.push_back(slot);
+        // not happen; routed to the serial path for safety (a busy
+        // slot's engine state cannot be classified from here).
+        serial.push_back(slot);
         continue;
       }
       switch (engine_->ClassifyViewForAsync(slot, *base_, *index_,
@@ -197,44 +161,26 @@ util::Status AsyncRefreshScheduler::NotifyStructuralChange() {
           repairs.push_back(slot);
           break;
         case AsyncViewClass::kStructuralRepair:
+          prepares.push_back(slot);
+          break;
         case AsyncViewClass::kSerialOnly:
-          rebuilds.push_back(slot);
+          // First touch or weight-dependent topology: only a full serial
+          // repair can re-expand the query graph (the async repair never
+          // rebuilds), so the search runs inside the ack.
+          serial.push_back(slot);
           break;
       }
     }
   }
   cv_.notify_all();
 
-  util::Status prepare_status = util::Status::OK();
+  util::Status status = util::Status::OK();
   std::vector<std::size_t> searches;
-  if (!rebuilds.empty()) {
-    // The synchronous half of each failed-certificate view's repair:
-    // query-graph re-expansion mutates the shared feature space and
-    // replaces slot engines, so it runs here — queue drained (defensive;
-    // the caller already quiesced), exclusive serving gate held. The
-    // searches are NOT run here: PrepareStructuralRepair leaves each
-    // slot dirty with its prepared revision recorded, and the ordinary
-    // RepairOne task finishes it in place on the keyed queue (per-slot
+  if (!serial.empty() || !prepares.empty()) {
+    // The searches of prepared slots are NOT run here: the ordinary
+    // RepairOne task finishes each in place on the keyed queue (per-slot
     // ordering serializes it against any later repair of the same view).
-    queue_.Drain();
-    std::unique_lock<util::SharedMutex> serve_lock;
-    if (serve_gate_ != nullptr) {
-      serve_lock = std::unique_lock<util::SharedMutex>(*serve_gate_);
-    }
-    for (std::size_t slot : rebuilds) {
-      auto need_search = engine_->PrepareStructuralRepair(
-          slot, *base_, *index_, model_, *weights_);
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.structural_rebuilds;
-      if (!need_search.ok()) {
-        if (repair_error_.ok()) repair_error_ = need_search.status();
-        if (prepare_status.ok()) prepare_status = need_search.status();
-      } else if (*need_search) {
-        searches.push_back(slot);
-      } else {
-        validated_[slot] = epoch_;
-      }
-    }
+    status = RunSynchronousRepairs(serial, prepares, &searches);
   }
 
   {
@@ -256,7 +202,57 @@ util::Status AsyncRefreshScheduler::NotifyStructuralChange() {
     }
   }
   cv_.notify_all();
-  return prepare_status;
+  return status;
+}
+
+util::Status AsyncRefreshScheduler::RunSynchronousRepairs(
+    const std::vector<std::size_t>& serial,
+    const std::vector<std::size_t>& prepares,
+    std::vector<std::size_t>* searches) {
+  // Rebuilds and rebases mutate the shared feature space and the cached
+  // query graph, which concurrent repairs may be reading: quiesce first.
+  // The owner's feedback lock keeps new notifications out while we run.
+  // Concurrent QueryView readers are excluded by the serving gate — a
+  // rebuild replaces the slot's engine and query graph, which a
+  // gate-free reader could be mid-search on. (Taken after the drain:
+  // repair tasks never touch the gate, so the drain cannot deadlock
+  // against it.)
+  queue_.Drain();
+  std::unique_lock<util::SharedMutex> serve_lock;
+  if (serve_gate_ != nullptr) {
+    serve_lock = std::unique_lock<util::SharedMutex>(*serve_gate_);
+  }
+  util::Status first_error = util::Status::OK();
+  auto note_error = [&](const util::Status& status) {
+    if (repair_error_.ok()) repair_error_ = status;
+    if (first_error.ok()) first_error = status;
+  };
+  for (std::size_t slot : serial) {
+    util::Status status = engine_->RefreshView(slot, *base_, *catalog_,
+                                               *index_, model_, *weights_);
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.serial_repairs;
+    if (status.ok()) {
+      validated_[slot] = epoch_;
+    } else {
+      note_error(status);
+    }
+  }
+  for (std::size_t slot : prepares) {
+    auto need_search = engine_->PrepareStructuralRepair(
+        slot, *base_, *index_, model_, *weights_);
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.structural_rebuilds;
+    if (!need_search.ok()) {
+      note_error(need_search.status());
+    } else if (*need_search) {
+      searches->push_back(slot);
+    } else {
+      validated_[slot] = epoch_;
+    }
+  }
+  cv_.notify_all();
+  return first_error;
 }
 
 void AsyncRefreshScheduler::RepairOne(std::size_t slot) {

@@ -33,7 +33,7 @@ struct AsyncRefreshStats {
   // Views validated at an epoch without a search (up to date, delta
   // no-op, or relevance-gated).
   std::size_t validations_without_search = 0;
-  // Views routed through the serial path from NotifyBaseChanged (first
+  // Views routed through the serial path from either notify path (first
   // touch or weight-dependent topology — quiesces the queue first).
   std::size_t serial_repairs = 0;
   // SyncBarrier calls (structural changes, explicit full refreshes).
@@ -105,11 +105,12 @@ class AsyncRefreshScheduler {
   // `index` are needed only by the serial path.
   // `serve_gate` (optional) is the owner's reader/writer serving lock
   // (QSystem::serve_mu_): concurrent QueryView readers hold it shared,
-  // and the scheduler takes it exclusively around the serial-repair
-  // branch of NotifyBaseChanged — the one scheduler path that rebuilds
-  // query graphs / replaces slot engines while readers could be in
-  // flight. SyncBarrier deliberately does NOT take it: its QSystem
-  // callers already hold the gate exclusively (it is not recursive).
+  // and the scheduler takes it exclusively around the synchronous
+  // repairs of either notify path (RunSynchronousRepairs) — the one
+  // scheduler path that rebuilds query graphs / replaces slot engines
+  // while readers could be in flight. SyncBarrier deliberately does NOT
+  // take it: its QSystem callers already hold the gate exclusively (it
+  // is not recursive).
   AsyncRefreshScheduler(RefreshEngine* engine, util::ThreadPool* pool,
                         int dedicated_threads,
                         const graph::SearchGraph* base,
@@ -153,9 +154,12 @@ class AsyncRefreshScheduler {
   // and CSR snapshot rebuilt synchronously here (under the exclusive
   // serving gate — the shared-feature-space mutation), with the searches
   // themselves running as ordinary repairs on the keyed task queue after
-  // the call returns. Returns the first synchronous prepare failure
-  // (also recorded sticky, like a failed async repair); async search
-  // failures surface through Drain/SyncBarrier as usual.
+  // the call returns. Views needing the serial path (first touch,
+  // weight-dependent topology) are repaired in full here, search
+  // included, by the same rule as NotifyBaseChanged. Returns the first
+  // synchronous failure (also recorded sticky, like a failed async
+  // repair); async search failures surface through Drain/SyncBarrier as
+  // usual.
   util::Status NotifyStructuralChange();
 
   // Epoch-tagged, never-blocking read of the view's last committed
@@ -190,6 +194,16 @@ class AsyncRefreshScheduler {
 
  private:
   void RepairOne(std::size_t slot);
+
+  // The synchronous half of a notify round, shared by both notify paths:
+  // quiesces the queue and, under the exclusive serving gate, repairs the
+  // `serial` slots in full through RefreshEngine::RefreshView and
+  // prepares the `prepares` slots through PrepareStructuralRepair,
+  // appending those still needing a search to `searches`. Returns the
+  // first failure (also recorded sticky).
+  util::Status RunSynchronousRepairs(const std::vector<std::size_t>& serial,
+                                     const std::vector<std::size_t>& prepares,
+                                     std::vector<std::size_t>* searches);
 
   RefreshEngine* engine_;
   std::unique_ptr<util::ThreadPool> owned_pool_;  // when not sharing

@@ -187,22 +187,21 @@ util::Status QSystem::RunInitialAlignment() {
   return RefreshAllViewsLocked();
 }
 
-align::AlignContext QSystem::ContextFromView(
-    const query::TopKView& view) const {
-  return align::ContextFromView(view, graph_, space_, weights_,
-                                config_.top_y, config_.preferential_budget);
-}
-
 util::Result<align::AlignerStats> QSystem::AlignAgainstViews(
     const relational::DataSource& source) {
   align::AlignerStats stats;
   std::vector<match::AlignmentCandidate> all;
 
   bool any_view = false;
+  // The vertex prior depends on no view: built once per registration.
+  std::vector<std::pair<graph::NodeId, double>> prior;
   for (const auto& view : views_) {
     if (!view->refreshed()) continue;
+    if (!any_view) prior = align::RelationVertexPrior(graph_, space_, weights_);
     any_view = true;
-    align::AlignContext ctx = ContextFromView(*view);
+    align::AlignContext ctx =
+        align::ContextFromView(*view, graph_, weights_, config_.top_y,
+                               config_.preferential_budget, prior);
     for (match::Matcher* matcher : EnabledMatchers()) {
       Q_ASSIGN_OR_RETURN(
           std::vector<match::AlignmentCandidate> candidates,

@@ -287,7 +287,6 @@ class QSystem {
   // cost_model.h).
   void ReconcileMissingMatcherFeatures();
   std::vector<match::Matcher*> EnabledMatchers();
-  align::AlignContext ContextFromView(const query::TopKView& view) const;
   // Appends one feedback record carrying the coalesced weight movement
   // since `revision_before` (captured from weights_.revision() before the
   // MIRA update), so the persisted log can replay feedback

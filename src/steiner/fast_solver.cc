@@ -100,16 +100,14 @@ struct SolverScratch {
   std::vector<graph::EdgeId> forced_sorted;
   std::vector<graph::EdgeId> banned_sorted;
   std::vector<std::uint32_t> terminals;  // deduped, one per supernode
-  // Local ids of `terminals` under the active compact mask view (only
-  // meaningful during a compacted masked solve).
-  std::vector<std::uint32_t> terminals_local;
-  // All-zero between solves; OverlayGuard sets and restores them. The
+  // `terminals` in the index space of the trees in `sp` (see TreeIds):
+  // equal to `terminals` unless the solve runs over a compact mask view.
+  std::vector<std::uint32_t> terminal_ids;
+  // All-zero between solves. OverlayGuard sets and restores edge_flag;
+  // AcquireSpTrees marks and clears the terminal ids in is_target. The
   // flat arrays make the per-arc overlay test a single byte load.
   std::vector<std::uint8_t> edge_flag;  // kFree / kBanned / kForced
   std::vector<std::uint8_t> is_target;  // terminal markers for early stop
-  // Local-id twin of is_target, sized to the mask; set and cleared by
-  // AcquireSpTreesLocal (all-zero between solves).
-  std::vector<std::uint8_t> is_target_local;
 
   std::vector<SpTree> sp_slots;  // holds fresh trees when cache is off/full
   std::vector<std::shared_ptr<const SpTree>> sp_refs;
@@ -141,9 +139,9 @@ struct SolverScratch {
 
   // Exact DP: eligible-subgraph mini CSR and flat (2^t) x n_e tables.
   std::vector<std::uint32_t> elig_nodes;  // ascending node id = mini id order
-  // Mask-local id of each eligible node (compacted masked solves only;
-  // parallel to elig_nodes — the DP reads local trees through it).
-  std::vector<std::uint32_t> elig_local;
+  // Each eligible node in the trees' index space, parallel to elig_nodes
+  // (the DP reads the trees through it).
+  std::vector<std::uint32_t> elig_ids;
   std::vector<std::uint32_t> mini_offsets;
   std::vector<std::uint32_t> mini_head;
   std::vector<graph::EdgeId> mini_edge;
@@ -168,11 +166,13 @@ struct SolverScratch {
 
   // Only arrays whose size tracks the SOLVE extent participate in the
   // shrink policy. Global-domain arrays — the stamped union-finds, the
-  // KMB remap (local_stamp/local_of), edge_flag, is_target — are indexed
-  // by global node/edge id, so even a mask-compacted solve addresses them
-  // at catalog size: shrinking them below num_nodes just forces an O(n)
-  // regrow on the very next solve, which oscillates (regrow re-inflates
-  // the capacity, re-arming the streak) and puts an O(catalog) term back
+  // KMB remap (local_stamp/local_of), edge_flag — are indexed by global
+  // node/edge id, so even a mask-compacted solve addresses them at
+  // catalog size (is_target joins them: any unmasked solve grows it to
+  // catalog size and it is only ever touched at the terminals):
+  // shrinking them below num_nodes just forces an O(n) regrow on the
+  // very next solve, which oscillates (regrow re-inflates the capacity,
+  // re-arming the streak) and puts an O(catalog) term back
   // into every masked solve. They are lazily stamped, so their steady
   // cost per solve is O(touched) regardless of length; they stay sized to
   // the largest catalog served and are excluded from both the capacity
@@ -180,7 +180,6 @@ struct SolverScratch {
   std::size_t CapacityNodes() const {
     std::size_t cap = heap.capacity_ids();
     for (const SpTree& slot : sp_slots) cap = std::max(cap, slot.dist.size());
-    cap = std::max(cap, is_target_local.size());
     return cap;
   }
 
@@ -193,9 +192,6 @@ struct SolverScratch {
       if (slot.dist.size() > keep_nodes) slot = SpTree{};
     }
     if (heap.capacity_ids() > keep_nodes) heap.ShrinkTo(keep_nodes);
-    if (is_target_local.size() > keep_nodes) {
-      std::vector<std::uint8_t>(keep_nodes, 0).swap(is_target_local);
-    }
     std::vector<graph::EdgeId>().swap(collected);
     std::vector<graph::EdgeId>().swap(mst);
     std::vector<std::uint32_t>().swap(ep_u);
@@ -205,7 +201,7 @@ struct SolverScratch {
     std::vector<double>().swap(dp);
     std::vector<Back>().swap(back);
     std::vector<std::uint32_t>().swap(elig_nodes);
-    std::vector<std::uint32_t>().swap(elig_local);
+    std::vector<std::uint32_t>().swap(elig_ids);
     std::vector<std::uint32_t>().swap(mini_offsets);
     std::vector<std::uint32_t>().swap(mini_head);
     std::vector<graph::EdgeId>().swap(mini_edge);
@@ -234,8 +230,8 @@ struct SolverScratch {
     std::size_t b = heap.MemoryBytes();
     for (const SpTree& slot : sp_slots) b += SpTreeBytes(slot);
     b += VecBytes(forced_sorted) + VecBytes(banned_sorted) +
-         VecBytes(terminals) + VecBytes(terminals_local);
-    b += VecBytes(edge_flag) + VecBytes(is_target) + VecBytes(is_target_local);
+         VecBytes(terminals) + VecBytes(terminal_ids);
+    b += VecBytes(edge_flag) + VecBytes(is_target);
     b += VecBytes(uf.parent) + VecBytes(uf.version) +
          VecBytes(kruskal_uf.parent) + VecBytes(kruskal_uf.version);
     b += VecBytes(in_mst) + VecBytes(best) + VecBytes(cert_floor) +
@@ -244,7 +240,7 @@ struct SolverScratch {
     b += VecBytes(local_of) + VecBytes(local_stamp) + VecBytes(degree) +
          VecBytes(is_terminal_local) + VecBytes(inc_offset) +
          VecBytes(incidence) + VecBytes(leaf_queue) + VecBytes(removed);
-    b += VecBytes(elig_nodes) + VecBytes(elig_local) + VecBytes(mini_offsets) +
+    b += VecBytes(elig_nodes) + VecBytes(elig_ids) + VecBytes(mini_offsets) +
          VecBytes(mini_head) + VecBytes(mini_edge) + VecBytes(mini_cost) +
          VecBytes(mini_terms);
     b += VecBytes(dp) + VecBytes(back) + VecBytes(rebuild_stack);
@@ -267,52 +263,129 @@ SolverScratch& GetScratch() {
   return scratch;
 }
 
-// Applies the forced/banned flags (and, where wanted, the terminal
-// markers) to the scratch's flat arrays for the duration of one solve,
-// restoring the all-zero invariant on every exit path.
+// Applies the forced/banned flags to the scratch's flat edge array for
+// the duration of one solve, restoring the all-zero invariant on every
+// exit path.
 class OverlayGuard {
  public:
   OverlayGuard(SolverScratch& s, const CsrGraph& csr) : s_(s) {
     if (s_.edge_flag.size() < csr.num_edges) {
       s_.edge_flag.resize(csr.num_edges, 0);
     }
-    if (s_.is_target.size() < csr.num_nodes) {
-      s_.is_target.resize(csr.num_nodes, 0);
-    }
     for (graph::EdgeId e : s_.forced_sorted) s_.edge_flag[e] = kForced;
     for (graph::EdgeId e : s_.banned_sorted) s_.edge_flag[e] = kBanned;
-    for (std::uint32_t t : s_.terminals) s_.is_target[t] = 1;
   }
 
   ~OverlayGuard() {
     for (graph::EdgeId e : s_.forced_sorted) s_.edge_flag[e] = kFree;
     for (graph::EdgeId e : s_.banned_sorted) s_.edge_flag[e] = kFree;
-    for (std::uint32_t t : s_.terminals) s_.is_target[t] = 0;
   }
 
  private:
   SolverScratch& s_;
 };
 
-// Single-source Dijkstra under the overlay flags, stopping as soon as all
-// `num_targets` marked targets are settled. Unsettled nodes are wiped back
-// to (inf, invalid) so the output is a canonical prefix of the full run.
-// A non-null `in_mask` restricts the search to the induced subgraph (arcs
-// whose head is outside the mask are skipped); the masked solvers verify
-// afterwards that every value they read lies in the radius the mask
-// provably reproduces (see fast_solver.h).
-void ComputeSpTree(const CsrGraph& csr,
+// Clip rules of the three arc views below: which arc heads lie outside
+// the searched subgraph. kMasked is a compile-time constant so the plain
+// view's search carries no per-arc test at all.
+struct NoClip {
+  static constexpr bool kMasked = false;
+  bool operator()(std::uint32_t) const { return false; }
+};
+struct ClipOutsideBitmap {
+  static constexpr bool kMasked = true;
+  const std::uint8_t* in_mask;
+  bool operator()(std::uint32_t to) const { return in_mask[to] == 0; }
+};
+struct ClipExternal {
+  static constexpr bool kMasked = true;
+  bool operator()(std::uint32_t to) const { return to == ShardMask::kExternal; }
+};
+
+// The adjacency one shortest-path search walks: `num_nodes` ids, each
+// with an arc range in CSR form (global edge ids and costs per arc), a
+// clip rule, and the map between the view's ids and global node ids.
+// Three views share the one Dijkstra body (ComputeSpTree):
+//
+//   * PlainArcs — the CSR itself over global ids, nothing clipped; the
+//     unmasked solvers and the only view the shortest-path cache serves.
+//   * BitmapArcs — the same CSR, clipping heads outside the mask bitmap:
+//     the uncompacted masked referee (compact_local_ids = false).
+//   * LocalArcs — a ShardMask's compact sub-CSR over mask-local ids, with
+//     out-of-mask heads pinned to kExternal: per-node arrays span the
+//     mask instead of the catalog (see shard.h).
+//
+// Bit-identity of LocalArcs to BitmapArcs: mask->nodes is ascending, so
+// global->local is order-preserving and the local (dist, id) tie order
+// is isomorphic to the global one; with per-node arc order copied from
+// the CSR, the settle order, predecessor choice and clipped-offer set —
+// hence every stored value and mask_min_clip — are the referee's,
+// merely re-indexed. Banned arcs are skipped before the clip test in
+// both, so they never contribute a clip offer.
+template <typename Clip>
+struct ArcView {
+  std::uint32_t num_nodes;
+  const std::uint32_t* offsets;
+  const std::uint32_t* head;
+  const graph::EdgeId* edge;
+  const double* cost;
+  Clip clip;
+  // Id maps; both null when the view's ids are global node ids.
+  const std::uint32_t* id_of = nullptr;      // global node -> view id
+  const std::uint32_t* global_of = nullptr;  // view id -> global node
+
+  std::uint32_t Id(std::uint32_t node) const {
+    return id_of != nullptr ? id_of[node] : node;
+  }
+  std::uint32_t Global(std::uint32_t id) const {
+    return global_of != nullptr ? global_of[id] : id;
+  }
+};
+
+ArcView<NoClip> PlainArcs(const CsrGraph& csr) {
+  return {csr.num_nodes,        csr.offsets.data(),  csr.arc_head.data(),
+          csr.arc_edge.data(),  csr.arc_cost.data(), NoClip{}};
+}
+
+ArcView<ClipOutsideBitmap> BitmapArcs(
+    const CsrGraph& csr, const std::vector<std::uint8_t>& in_mask) {
+  return {csr.num_nodes,       csr.offsets.data(),
+          csr.arc_head.data(), csr.arc_edge.data(),
+          csr.arc_cost.data(), ClipOutsideBitmap{in_mask.data()}};
+}
+
+ArcView<ClipExternal> LocalArcs(const ShardMask& m) {
+  return {static_cast<std::uint32_t>(m.nodes.size()),
+          m.local_offsets.data(),
+          m.local_arc_head.data(),
+          m.local_arc_edge.data(),
+          m.local_arc_cost.data(),
+          ClipExternal{},
+          m.local_of.data(),
+          m.nodes.data()};
+}
+
+// Single-source Dijkstra over `arcs` under the overlay flags, stopping as
+// soon as all `num_targets` marked targets are settled. Unsettled nodes
+// are wiped back to (inf, invalid) so the output is a canonical prefix of
+// the full run. Arcs the view clips are not relaxed; the cheapest such
+// offer is recorded in mask_min_clip, which the masked solvers certify
+// their reads against afterwards (see fast_solver.h). dist, pred_node,
+// settled and touched are indexed by the view's ids; pred_edge and
+// tree_edges hold global edge ids. Kept out of line: inlined into its one
+// call site, the plain instantiation measured ~3% slower on cached
+// top-k (micro-kernel fixtures, min of 25 runs).
+template <typename Clip>
+[[gnu::noinline]] void ComputeSpTree(const ArcView<Clip> arcs,
                    const std::vector<std::uint8_t>& edge_flag,
                    const std::vector<std::uint8_t>& is_target,
                    std::size_t num_targets, bool stop_at_targets,
-                   std::uint32_t source,
-                   const std::vector<std::uint8_t>* in_mask,
-                   util::DaryHeap& heap, SpTree* out) {
-  const std::uint32_t n = csr.num_nodes;
+                   std::uint32_t source, util::DaryHeap& heap, SpTree* out) {
+  const std::uint32_t n = arcs.num_nodes;
   // Sparse reset: only entries named by the previous run's touched list
   // can differ from the defaults, so a reused SpTree resets in O(prior
-  // neighborhood). Fresh (or grown) objects pay the full initialization
-  // once, below.
+  // neighborhood) whatever view that run used. Fresh (or grown) objects
+  // pay the full initialization once, below.
   if (out->dist.size() < n) {
     out->dist.resize(n, kInf);
     out->pred_node.resize(n, graph::kInvalidNode);
@@ -342,14 +415,14 @@ void ComputeSpTree(const CsrGraph& csr,
       stopped_early = !heap.empty();
       break;
     }
-    const std::uint32_t end = csr.offsets[v + 1];
-    for (std::uint32_t a = csr.offsets[v]; a < end; ++a) {
-      graph::EdgeId e = csr.arc_edge[a];
+    const std::uint32_t end = arcs.offsets[v + 1];
+    for (std::uint32_t a = arcs.offsets[v]; a < end; ++a) {
+      graph::EdgeId e = arcs.edge[a];
       std::uint8_t flag = edge_flag[e];
       if (flag == kBanned) continue;
-      std::uint32_t to = csr.arc_head[a];
-      double next = d + (flag == kForced ? 0.0 : csr.arc_cost[a]);
-      if (in_mask != nullptr && !(*in_mask)[to]) {
+      std::uint32_t to = arcs.head[a];
+      double next = d + (flag == kForced ? 0.0 : arcs.cost[a]);
+      if (arcs.clip(to)) {
         // Clipped at the mask boundary: remember the cheapest declined
         // offer — it lower-bounds every path escaping the mask, which is
         // what lets the masked solvers certify their reads afterwards.
@@ -378,101 +451,6 @@ void ComputeSpTree(const CsrGraph& csr,
   // to the defaults (so the stored arrays are a canonical prefix of the
   // full run), shrinks `touched` to the settled survivors, and collects
   // the predecessor edges.
-  out->tree_edges.clear();
-  std::size_t settled_count = 0;
-  for (std::uint32_t v : out->touched) {
-    if (!out->settled[v]) {
-      out->dist[v] = kInf;
-      out->pred_node[v] = graph::kInvalidNode;
-      out->pred_edge[v] = graph::kInvalidEdge;
-      continue;
-    }
-    out->touched[settled_count++] = v;
-    if (out->pred_edge[v] != graph::kInvalidEdge) {
-      out->tree_edges.push_back(out->pred_edge[v]);
-    }
-  }
-  out->touched.resize(settled_count);
-  std::sort(out->tree_edges.begin(), out->tree_edges.end());
-  out->tree_edges.erase(
-      std::unique(out->tree_edges.begin(), out->tree_edges.end()),
-      out->tree_edges.end());
-}
-
-// Local-id twin of ComputeSpTree over a mask's compact sub-CSR (see
-// shard.h): every per-node array spans the mask's L nodes instead of
-// num_nodes and the heap drains at local capacity, which is what keeps
-// masked Dijkstras cache-resident on million-source catalogs. Arcs whose
-// head left the mask carry the kExternal sentinel and feed mask_min_clip
-// exactly where the uncompacted scan would clip (banned arcs are skipped
-// first, in the same order, so they never contribute a clip offer).
-// Bit-identity argument: mask->nodes is ascending, so global->local is
-// order-preserving and local (dist, id) tie order is isomorphic to the
-// global canonical (dist, id) order; with per-node arc order preserved by
-// the compact view, settle order, predecessor selection, the clipped
-// offer set — hence every stored value and the clip floor — are
-// byte-equal to the uncompacted masked run, merely re-indexed.
-// dist/pred_node/settled/touched are local-indexed; pred_edge and
-// tree_edges stay global edge ids.
-void ComputeSpTreeLocal(const ShardMask& m,
-                        const std::vector<std::uint8_t>& edge_flag,
-                        const std::vector<std::uint8_t>& is_target_local,
-                        std::size_t num_targets, bool stop_at_targets,
-                        std::uint32_t source_local, util::DaryHeap& heap,
-                        SpTree* out) {
-  const std::uint32_t n = static_cast<std::uint32_t>(m.nodes.size());
-  if (out->dist.size() < n) {
-    out->dist.resize(n, kInf);
-    out->pred_node.resize(n, graph::kInvalidNode);
-    out->pred_edge.resize(n, graph::kInvalidEdge);
-    out->settled.resize(n, 0);
-  }
-  // The sparse reset is index-space agnostic: whatever index space the
-  // slot's previous run used, wiping its touched entries restores the
-  // all-default state this run starts from.
-  for (std::uint32_t v : out->touched) {
-    out->dist[v] = kInf;
-    out->pred_node[v] = graph::kInvalidNode;
-    out->pred_edge[v] = graph::kInvalidEdge;
-    out->settled[v] = 0;
-  }
-  out->touched.clear();
-  out->mask_min_clip = kInf;
-  heap.Drain(n);
-  out->dist[source_local] = 0.0;
-  out->touched.push_back(source_local);
-  heap.PushOrDecrease(source_local, 0.0);
-  std::size_t remaining = num_targets;
-  bool stopped_early = false;
-  while (!heap.empty()) {
-    auto [d, v] = heap.PopMin();
-    out->settled[v] = 1;
-    if (stop_at_targets && is_target_local[v] && --remaining == 0) {
-      stopped_early = !heap.empty();
-      break;
-    }
-    const std::uint32_t end = m.local_offsets[v + 1];
-    for (std::uint32_t a = m.local_offsets[v]; a < end; ++a) {
-      graph::EdgeId e = m.local_arc_edge[a];
-      std::uint8_t flag = edge_flag[e];
-      if (flag == kBanned) continue;
-      std::uint32_t to = m.local_arc_head[a];
-      double next = d + (flag == kForced ? 0.0 : m.local_arc_cost[a]);
-      if (to == ShardMask::kExternal) {
-        if (next < out->mask_min_clip) out->mask_min_clip = next;
-        continue;
-      }
-      double& dt = out->dist[to];
-      if (next < dt) {
-        if (dt == kInf) out->touched.push_back(to);
-        dt = next;
-        out->pred_node[to] = v;
-        out->pred_edge[to] = e;
-        heap.PushOrDecrease(to, next);
-      }
-    }
-  }
-  out->complete = !stopped_early;
   out->tree_edges.clear();
   std::size_t settled_count = 0;
   for (std::uint32_t v : out->touched) {
@@ -535,159 +513,91 @@ bool PrepareSubproblem(const CsrGraph& csr,
   return true;
 }
 
-// Fills s.sp with one shortest-path tree per deduped terminal, shared
-// through the cache. `full` requests complete (non-early-stopped) trees —
-// the exact DP seeds its singleton slices from them. `cache_generation`
-// is the generation captured by the solve's SnapshotPin: lookups and
-// inserts keyed under it can only meet entries computed over the same
-// pinned costs, even if a concurrent re-cost has already moved the cache
-// to a newer generation.
-void AcquireSpTrees(const CsrGraph& csr, ShortestPathCache* cache,
-                    std::uint64_t cache_generation, SolverScratch& s,
-                    bool full, const std::vector<std::uint8_t>* in_mask) {
-  const std::size_t t = s.terminals.size();
-  s.sp.clear();
-  s.sp_refs.clear();
-  if (s.sp_slots.size() < t) s.sp_slots.resize(t);
-  for (std::size_t i = 0; i < t; ++i) {
-    std::shared_ptr<const SpTree> ref;
-    bool computed_in_slot = false;
-    if (cache != nullptr) {
-      ref = cache->Lookup(cache_generation, s.terminals[i], s.forced_sorted,
-                          s.banned_sorted, csr.edge_cost, s.terminals, full);
-      if (ref == nullptr && cache->HasRoom()) {
-        // Miss: compute into the reusable scratch slot first, then decide
-        // whether the tree is worth materializing as a shared entry. An
-        // entry's arrays span all of num_nodes, so insertion costs O(n)
-        // regardless of how little the search explored — on large graphs
-        // an early-stopped tree touching a small neighborhood is cheaper
-        // to recompute (sparse reset, no allocation) than to materialize.
-        // Clean-overlay trees are the exception: the subset rule lets one
-        // (F, B) = ({}, {}) entry serve most Lawler children, so those
-        // always earn their footprint.
-        ComputeSpTree(csr, s.edge_flag, s.is_target, t, !full, s.terminals[i],
-                      in_mask, s.heap, &s.sp_slots[i]);
-        computed_in_slot = true;
-        const bool clean_overlay =
-            s.forced_sorted.empty() && s.banned_sorted.empty();
-        if (clean_overlay ||
-            s.sp_slots[i].touched.size() * 4 >= csr.num_nodes) {
-          // Steal the slot's arrays; the slot regrows on its next use,
-          // which costs no more than the fresh allocation used to.
-          auto fresh = std::make_shared<SpTree>(std::move(s.sp_slots[i]));
-          s.sp_slots[i] = SpTree{};
-          cache->Insert(cache_generation, s.terminals[i], s.forced_sorted,
-                        s.banned_sorted, fresh);
-          ref = std::move(fresh);
-        }
-      }
-    }
-    if (ref != nullptr) {
-      s.sp.push_back(ref.get());
-      s.sp_refs.push_back(std::move(ref));
-    } else {
-      // Cache disabled, full, or the miss stayed in scratch.
-      if (!computed_in_slot) {
-        ComputeSpTree(csr, s.edge_flag, s.is_target, t, !full, s.terminals[i],
-                      in_mask, s.heap, &s.sp_slots[i]);
-      }
-      s.sp.push_back(&s.sp_slots[i]);
-    }
-  }
-}
+// Index space of the trees in s.sp: `count` ids, mapped to global node
+// ids through `global_of` (null when the ids are global node ids).
+struct TreeIds {
+  std::uint32_t count = 0;
+  const std::uint32_t* global_of = nullptr;
 
-// Local-id twin of AcquireSpTrees over a compact mask view: fills s.sp
-// with per-terminal trees whose arrays are local-indexed, shared through
-// the cache's mask-uid-keyed local half. A uid names one immutable
-// compact view, so entries can never be matched across masks, epochs, or
-// enumerations. Reuse caveat (see sp_cache.h): a tree served under a
-// superset banned set may carry a mask_min_clip computed before the
-// extra ban removed a boundary offer — a floor at most the fresh one —
-// so certification against it is conservative (extra escalation at
-// worst), never unsound.
-void AcquireSpTreesLocal(const CsrGraph& csr, const ShardMask& m,
-                         ShortestPathCache* cache, SolverScratch& s,
-                         bool full) {
-  const std::size_t t = s.terminals.size();
-  const std::size_t n = m.nodes.size();
-  s.terminals_local.clear();
-  for (std::uint32_t term : s.terminals) {
-    s.terminals_local.push_back(m.local_of[term]);
+  std::uint32_t Global(std::uint32_t id) const {
+    return global_of != nullptr ? global_of[id] : id;
   }
-  if (s.is_target_local.size() < n) s.is_target_local.resize(n, 0);
-  for (std::uint32_t lt : s.terminals_local) s.is_target_local[lt] = 1;
+};
+
+// Fills s.sp with one shortest-path tree per deduped terminal over
+// `arcs`, a view of `csr`, and s.terminal_ids with the terminals in the
+// view's ids. `full` requests complete (non-early-stopped) trees — the
+// exact DP seeds its singleton slices from them. Only the plain view
+// consults `cache`: a masked tree describes a subgraph, so masked
+// searches run into the pooled scratch slots. `cache_generation` is the
+// generation captured by the solve's SnapshotPin: lookups and inserts
+// keyed under it can only meet entries computed over the same pinned
+// costs, even if a concurrent re-cost has already moved the cache to a
+// newer generation.
+template <typename Clip>
+TreeIds AcquireSpTrees(const CsrGraph& csr, const ArcView<Clip>& arcs,
+                       ShortestPathCache* cache, std::uint64_t cache_generation,
+                       SolverScratch& s, bool full) {
+  const std::size_t t = s.terminals.size();
+  s.terminal_ids.clear();
+  for (std::uint32_t term : s.terminals) {
+    s.terminal_ids.push_back(arcs.Id(term));
+  }
+  if (s.is_target.size() < arcs.num_nodes) {
+    s.is_target.resize(arcs.num_nodes, 0);
+  }
+  for (std::uint32_t id : s.terminal_ids) s.is_target[id] = 1;
   s.sp.clear();
   s.sp_refs.clear();
   if (s.sp_slots.size() < t) s.sp_slots.resize(t);
   for (std::size_t i = 0; i < t; ++i) {
     std::shared_ptr<const SpTree> ref;
-    bool computed_in_slot = false;
-    if (cache != nullptr) {
-      ref = cache->LookupLocal(m.mask_uid, s.terminals[i], s.forced_sorted,
-                               s.banned_sorted, csr.edge_cost,
-                               s.terminals_local, full);
-      if (ref == nullptr) {
-        ComputeSpTreeLocal(m, s.edge_flag, s.is_target_local, t, !full,
-                           s.terminals_local[i], s.heap, &s.sp_slots[i]);
-        computed_in_slot = true;
-        // Materialize only clean-overlay trees. A ({}, {}) entry is
-        // re-served every time the enumeration re-acquires this mask and
-        // terminal, so it earns its footprint; an overlay tree can only
-        // hit again on a compatible (F, B) recurrence, which Lawler
-        // partitioning makes vanishingly rare — and the insert would
-        // steal the pooled slot, forcing the next miss to reallocate and
-        // refill O(L) arrays instead of sparse-resetting its touched
-        // entries. Keeping overlay misses slot-resident is what holds the
-        // per-solve cost at O(ball) as the catalog grows.
-        //
-        // The copy is rebuilt at the mask's local extent rather than
-        // copied wholesale from the slot: a pooled slot keeps the high-
-        // water arrays of every solve the thread ever ran (an unmasked
-        // verify pass leaves them at catalog size), and a full copy of
-        // that is an O(catalog) stall on the first acquire of every new
-        // mask. The slot's invariant — every entry off the touched list
-        // is at its (inf, invalid, 0) default — makes the right-sized
-        // rebuild byte-identical for all local ids the cache can serve.
-        // The capacity race is handled inside InsertLocal (wholesale
-        // clear), so no HasRoom gate here.
-        if (s.forced_sorted.empty() && s.banned_sorted.empty()) {
-          const SpTree& slot = s.sp_slots[i];
-          auto fresh = std::make_shared<SpTree>();
-          fresh->dist.assign(n, kInf);
-          fresh->pred_node.assign(n, graph::kInvalidNode);
-          fresh->pred_edge.assign(n, graph::kInvalidEdge);
-          fresh->settled.assign(n, 0);
-          for (std::uint32_t v : slot.touched) {
-            fresh->dist[v] = slot.dist[v];
-            fresh->pred_node[v] = slot.pred_node[v];
-            fresh->pred_edge[v] = slot.pred_edge[v];
-            fresh->settled[v] = slot.settled[v];
-          }
-          fresh->touched = slot.touched;
-          fresh->tree_edges = slot.tree_edges;
-          fresh->complete = slot.complete;
-          fresh->mask_min_clip = slot.mask_min_clip;
-          cache->InsertLocal(m.mask_uid, s.terminals[i], s.forced_sorted,
-                             s.banned_sorted, fresh);
-          ref = std::move(fresh);
-        }
+    if constexpr (!Clip::kMasked) {
+      if (cache != nullptr) {
+        ref = cache->Lookup(cache_generation, s.terminals[i], s.forced_sorted,
+                            s.banned_sorted, csr.edge_cost,
+                            s.terminal_ids, full);
       }
     }
     if (ref != nullptr) {
       s.sp.push_back(ref.get());
       s.sp_refs.push_back(std::move(ref));
-    } else {
-      if (!computed_in_slot) {
-        ComputeSpTreeLocal(m, s.edge_flag, s.is_target_local, t, !full,
-                           s.terminals_local[i], s.heap, &s.sp_slots[i]);
-      }
-      s.sp.push_back(&s.sp_slots[i]);
+      continue;
     }
+    ComputeSpTree(arcs, s.edge_flag, s.is_target, t, !full,
+                  s.terminal_ids[i], s.heap, &s.sp_slots[i]);
+    if constexpr (!Clip::kMasked) {
+      // Miss: the tree sits in the reusable scratch slot; decide whether
+      // it is worth materializing as a shared entry. An entry's arrays
+      // span all of num_nodes, so insertion costs O(n) regardless of how
+      // little the search explored — on large graphs an early-stopped
+      // tree touching a small neighborhood is cheaper to recompute
+      // (sparse reset, no allocation) than to materialize. Clean-overlay
+      // trees are the exception: the subset rule lets one (F, B) =
+      // ({}, {}) entry serve most Lawler children, so those always earn
+      // their footprint.
+      const bool clean_overlay =
+          s.forced_sorted.empty() && s.banned_sorted.empty();
+      if (cache != nullptr && cache->HasRoom() &&
+          (clean_overlay ||
+           s.sp_slots[i].touched.size() * 4 >= arcs.num_nodes)) {
+        // Steal the slot's arrays; the slot regrows on its next use,
+        // which costs no more than the fresh allocation used to.
+        auto fresh = std::make_shared<SpTree>(std::move(s.sp_slots[i]));
+        s.sp_slots[i] = SpTree{};
+        cache->Insert(cache_generation, s.terminals[i], s.forced_sorted,
+                      s.banned_sorted, fresh);
+        s.sp.push_back(fresh.get());
+        s.sp_refs.push_back(std::move(fresh));
+        continue;
+      }
+    }
+    s.sp.push_back(&s.sp_slots[i]);
   }
   // Restore the all-zero invariant now: nothing downstream reads the
-  // local target marks, and the shrink policy may reallocate the array
-  // between solves.
-  for (std::uint32_t lt : s.terminals_local) s.is_target_local[lt] = 0;
+  // target marks.
+  for (std::uint32_t id : s.terminal_ids) s.is_target[id] = 0;
+  return TreeIds{arcs.num_nodes, arcs.global_of};
 }
 
 // Boundary certificate shared by both masked solvers. A masked tree's
@@ -703,11 +613,9 @@ void AcquireSpTreesLocal(const CsrGraph& csr, const ShardMask& m,
 // max_j dist[t_j] per tree. A terminal unreachable within the mask
 // certifies only when nothing was clipped at all — then the mask
 // exhausted the component and the infeasible verdict is exact.
-// `term_idx` holds the terminals in whatever index space s.sp uses —
-// s.terminals for global/uncompacted trees, s.terminals_local for
-// compacted ones — so the certificate itself is index-space agnostic.
+// Terminals are read through s.terminal_ids, so the certificate itself
+// is index-space agnostic.
 MaskedOutcome CertifyPairwiseReads(SolverScratch& s,
-                                   const std::vector<std::uint32_t>& term_idx,
                                    double* overlay_lower_bound) {
   const std::size_t t = s.terminals.size();
   MaskedOutcome verdict = MaskedOutcome::kOk;
@@ -726,7 +634,7 @@ MaskedOutcome CertifyPairwiseReads(SolverScratch& s,
     const SpTree& sp = *s.sp[i];
     double max_read = 0.0;
     for (std::size_t j = 0; j < t; ++j) {
-      double d = sp.dist[term_idx[j]];
+      double d = sp.dist[s.terminal_ids[j]];
       max_read = std::max(max_read, d);
       const double floor = std::min(d, sp.mask_min_clip);
       pairwise_lb = std::max(pairwise_lb, floor);
@@ -800,18 +708,36 @@ const ShardMask* ResolveCompact(const MaskView* mask, const CsrGraph& csr,
   return &m;
 }
 
+// Acquires a solve's trees over the view its mask selects: the plain CSR
+// when `mask` is null, the compact sub-CSR when `compact` is set (see
+// ResolveCompact), the mask bitmap over the CSR otherwise.
+TreeIds AcquireSolveTrees(const CsrGraph& csr, const MaskView* mask,
+                          const ShardMask* compact, ShortestPathCache* cache,
+                          std::uint64_t cache_generation, SolverScratch& s,
+                          bool full) {
+  if (compact != nullptr) {
+    return AcquireSpTrees(csr, LocalArcs(*compact), cache, cache_generation,
+                          s, full);
+  }
+  if (mask != nullptr) {
+    return AcquireSpTrees(csr, BitmapArcs(csr, *mask->in_mask), cache,
+                          cache_generation, s, full);
+  }
+  return AcquireSpTrees(csr, PlainArcs(csr), cache, cache_generation, s,
+                        full);
+}
+
 // KMB steps 2-5 over the trees in s.sp. Expects PrepareSubproblem done, an
 // OverlayGuard active, and t >= 2 deduped terminals; `result` carries the
-// forced prefix and base cost. `sp_terms` names the terminals in the
-// trees' own index space (local ids for compacted masked solves) — only
-// reads of sp.dist/pred_node go through it; collected pred_edge values
-// are global edge ids in either space, so everything from Kruskal on is
-// index-space independent. Safe to call concurrently (cache is
+// forced prefix and base cost. Reads of sp.dist/pred_node go through
+// s.terminal_ids (the trees' own index space); collected pred_edge
+// values are global edge ids in any view, so everything from Kruskal on
+// is index-space independent. Safe to call concurrently (cache is
 // synchronized, scratch is per-thread).
 std::optional<SteinerTree> KmbFromTrees(const CsrGraph& csr, SolverScratch& s,
-                                        const std::vector<std::uint32_t>& sp_terms,
                                         SteinerTree result) {
   const std::size_t t = s.terminals.size();
+  const std::vector<std::uint32_t>& sp_terms = s.terminal_ids;
 
   // 2. Prim MST over the terminal metric closure.
   s.in_mst.assign(t, 0);
@@ -1108,12 +1034,15 @@ FastSolveStats FastSteinerEngine::stats() const {
     st.sp_cache_hits = cache_->hits();
     st.sp_cache_misses = cache_->misses();
     st.sp_cache_entries = cache_->size();
-    st.sp_local_hits = cache_->local_hits();
-    st.sp_local_misses = cache_->local_misses();
-    st.sp_local_entries = cache_->local_size();
-    st.masked_bypasses = cache_->masked_bypasses();
   }
+  st.sp_local_misses = masked_local_trees_.load(std::memory_order_relaxed);
+  st.masked_bypasses = masked_bypasses_.load(std::memory_order_relaxed);
   return st;
+}
+
+void FastSteinerEngine::NoteMaskedTrees(bool compact, std::size_t trees) {
+  (compact ? masked_local_trees_ : masked_bypasses_)
+      .fetch_add(trees, std::memory_order_relaxed);
 }
 
 std::optional<SteinerTree> FastSteinerEngine::SolveKmb(
@@ -1185,28 +1114,16 @@ std::optional<SteinerTree> FastSteinerEngine::SolveKmbImpl(
   ExtentGuard extent{
       s, compact != nullptr ? compact->nodes.size() : csr.num_nodes};
   OverlayGuard overlay(s, csr);
-  if (compact != nullptr) {
-    AcquireSpTreesLocal(csr, *compact, cache_.get(), s, /*full=*/false);
-  } else {
-    if (mask != nullptr && cache_ != nullptr) {
-      cache_->NoteMaskedBypass(s.terminals.size());
-    }
-    // Uncompacted masked solves (the referee path) run uncached: their
-    // Dijkstras stop inside the mask, so recomputing them beats
-    // materializing graph-spanning cache copies.
-    ShortestPathCache* cache = mask != nullptr ? nullptr : cache_.get();
-    AcquireSpTrees(csr, cache, pin.cache_generation, s, /*full=*/false,
-                   mask != nullptr ? mask->in_mask : nullptr);
-  }
-  const std::vector<std::uint32_t>& sp_terms =
-      compact != nullptr ? s.terminals_local : s.terminals;
+  AcquireSolveTrees(csr, mask, compact, cache_.get(), pin.cache_generation, s,
+                    /*full=*/false);
   if (mask != nullptr) {
+    NoteMaskedTrees(compact != nullptr, s.terminals.size());
     // Every value KMB reads must sit strictly below the clipped-offer
     // horizon, or the masked trees are not certified prefixes of the
     // full runs. No verdict otherwise — but the clip floor still bounds
     // the subspace cost from below, which the caller may keep.
     double overlay_lb = 0.0;
-    MaskedOutcome verdict = CertifyPairwiseReads(s, sp_terms, &overlay_lb);
+    MaskedOutcome verdict = CertifyPairwiseReads(s, &overlay_lb);
     if (verdict != MaskedOutcome::kOk) {
       *outcome = verdict;
       if (escalate_bound != nullptr) {
@@ -1215,7 +1132,7 @@ std::optional<SteinerTree> FastSteinerEngine::SolveKmbImpl(
       return std::nullopt;
     }
   }
-  return KmbFromTrees(csr, s, sp_terms, std::move(result));
+  return KmbFromTrees(csr, s, std::move(result));
 }
 
 std::optional<SteinerTree> FastSteinerEngine::SolveExact(
@@ -1261,23 +1178,15 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
   // iff the DP would fail), the eligibility filter, and the DP's singleton
   // slices dp[{i}] = dist(t_i, .) — so those 2^0-subsets need no grow pass
   // at all.
-  if (compact != nullptr) {
-    AcquireSpTreesLocal(csr, *compact, cache_.get(), s, /*full=*/true);
-  } else {
-    if (mask != nullptr && cache_ != nullptr) {
-      cache_->NoteMaskedBypass(s.terminals.size());
-    }
-    ShortestPathCache* cache = mask != nullptr ? nullptr : cache_.get();
-    AcquireSpTrees(csr, cache, pin.cache_generation, s, /*full=*/true,
-                   mask != nullptr ? mask->in_mask : nullptr);
-  }
-  const std::vector<std::uint32_t>& sp_terms =
-      compact != nullptr ? s.terminals_local : s.terminals;
+  const TreeIds ids = AcquireSolveTrees(csr, mask, compact, cache_.get(),
+                                        pin.cache_generation, s, /*full=*/true);
+  const std::vector<std::uint32_t>& sp_terms = s.terminal_ids;
   if (mask != nullptr) {
+    NoteMaskedTrees(compact != nullptr, t);
     // Guarantees the KMB upper bound below (and its infeasibility
     // verdict) is the unmasked one before we derive a threshold from it.
     double overlay_lb = 0.0;
-    MaskedOutcome verdict = CertifyPairwiseReads(s, sp_terms, &overlay_lb);
+    MaskedOutcome verdict = CertifyPairwiseReads(s, &overlay_lb);
     if (verdict != MaskedOutcome::kOk) {
       *outcome = verdict;
       if (escalate_bound != nullptr) {
@@ -1286,7 +1195,7 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
       return std::nullopt;
     }
   }
-  auto kmb = KmbFromTrees(csr, s, sp_terms, result);
+  auto kmb = KmbFromTrees(csr, s, result);
   if (!kmb.has_value()) return std::nullopt;
   double bound = kmb->cost - result.cost;  // overlay-space upper bound
   // Relative slack absorbs float summation-order differences between the
@@ -1334,54 +1243,25 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
        ++attempt) {
     double threshold = attempt == 0 ? bound : kInf;
     s.elig_nodes.clear();
-    s.elig_local.clear();
-    if (compact != nullptr) {
-      // Local ids ascend with the (ascending) mask node list, so this
-      // scan visits candidates in the same order as the uncompacted
-      // masked branch below — the eligible list (and hence the mini-id
-      // assignment) comes out identical, merely read through local
-      // distance arrays.
-      const std::uint32_t num_local =
-          static_cast<std::uint32_t>(compact->nodes.size());
-      for (std::uint32_t lv = 0; lv < num_local; ++lv) {
-        bool ok = true;
-        for (std::size_t i = 0; i < t; ++i) {
-          if (s.sp[i]->dist[lv] > threshold) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) {
-          s.elig_nodes.push_back(compact->nodes[lv]);
-          s.elig_local.push_back(lv);
+    s.elig_ids.clear();
+    // The trees' ids ascend with global node id in every view (compact
+    // local ids follow the ascending mask node list), so the eligible
+    // list — and hence the mini-id assignment — comes out in the same
+    // order as the unmasked scan. Under a mask, below-bound nodes all lie
+    // inside it: the clipped-offer floor exceeds the bound, so any node
+    // whose true distance fits the threshold was settled — identically —
+    // by the masked runs.
+    for (std::uint32_t id = 0; id < ids.count; ++id) {
+      bool ok = true;
+      for (std::size_t i = 0; i < t; ++i) {
+        if (s.sp[i]->dist[id] > threshold) {
+          ok = false;
+          break;
         }
       }
-    } else if (mask != nullptr) {
-      // Below-bound nodes all live inside the mask (the clipped-offer
-      // floor exceeds the bound, so any node whose true distance fits
-      // the threshold was settled — identically — by the masked runs),
-      // so scanning the ascending mask node list yields the same
-      // eligible list — same order — as the unmasked 0..n-1 scan.
-      for (std::uint32_t v : *mask->nodes) {
-        bool ok = true;
-        for (std::size_t i = 0; i < t; ++i) {
-          if (s.sp[i]->dist[v] > threshold) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) s.elig_nodes.push_back(v);
-      }
-    } else {
-      for (std::uint32_t v = 0; v < csr.num_nodes; ++v) {
-        bool ok = true;
-        for (std::size_t i = 0; i < t; ++i) {
-          if (s.sp[i]->dist[v] > threshold) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) s.elig_nodes.push_back(v);
+      if (ok) {
+        s.elig_nodes.push_back(ids.Global(id));
+        s.elig_ids.push_back(id);
       }
     }
     if (++s.stamp == 0) {
@@ -1434,11 +1314,6 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
     s.mini_offsets[i + 1] = static_cast<std::uint32_t>(s.mini_head.size());
   }
 
-  // Eligible nodes in the trees' own index space: local ids under a
-  // compact view, global node ids otherwise. Parallel to elig_nodes, so
-  // mini id mv reads the same node either way.
-  const std::vector<std::uint32_t>& elig_idx =
-      compact != nullptr ? s.elig_local : s.elig_nodes;
 
   const std::uint32_t full = (1u << t) - 1;
   const std::size_t states = static_cast<std::size_t>(full + 1) * n_e;
@@ -1450,7 +1325,7 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
     double* dps = &s.dp[(std::size_t{1} << i) * n_e];
     const SpTree& sp = *s.sp[i];
     for (std::uint32_t mv = 0; mv < n_e; ++mv) {
-      double d = sp.dist[elig_idx[mv]];
+      double d = sp.dist[s.elig_ids[mv]];
       if (d <= bound) dps[mv] = d;
     }
   }
@@ -1518,7 +1393,7 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
       // cost ties — still a min-cost attachment path).
       const std::size_t i = static_cast<std::size_t>(__builtin_ctz(subset));
       const SpTree& sp = *s.sp[i];
-      std::uint32_t cur = elig_idx[v];
+      std::uint32_t cur = s.elig_ids[v];
       const std::uint32_t src = sp_terms[i];
       while (cur != src) {
         graph::EdgeId e = sp.pred_edge[cur];
@@ -1551,6 +1426,55 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
 
 std::size_t ThreadScratchBytes() { return GetScratch().FootprintBytes(); }
 
+namespace {
+
+// One masked Dijkstra over `arcs`, projected to global-indexed arrays so
+// callers diff views element-for-element without knowing which ran.
+template <typename Clip>
+MaskedSpProbe ProbeSpTree(const CsrGraph& csr, const ArcView<Clip>& arcs,
+                          std::uint32_t source,
+                          const std::vector<graph::NodeId>& targets,
+                          bool stop_at_targets, SolverScratch& s) {
+  if (s.is_target.size() < arcs.num_nodes) {
+    s.is_target.resize(arcs.num_nodes, 0);
+  }
+  // A target outside the view never settles, and the stop threshold
+  // stays targets.size() in every view, so all views keep exploring
+  // identically instead of stopping early.
+  for (std::uint32_t t : targets) {
+    const std::uint32_t id = arcs.Id(t);
+    if (id != ShardMask::kExternal) s.is_target[id] = 1;
+  }
+  SpTree tree;
+  ComputeSpTree(arcs, s.edge_flag, s.is_target, targets.size(),
+                stop_at_targets, arcs.Id(source), s.heap, &tree);
+  for (std::uint32_t t : targets) {
+    const std::uint32_t id = arcs.Id(t);
+    if (id != ShardMask::kExternal) s.is_target[id] = 0;
+  }
+
+  MaskedSpProbe probe;
+  probe.dist.assign(csr.num_nodes, kInf);
+  probe.pred_node.assign(csr.num_nodes, graph::kInvalidNode);
+  probe.pred_edge.assign(csr.num_nodes, graph::kInvalidEdge);
+  probe.settled.assign(csr.num_nodes, 0);
+  for (std::uint32_t id : tree.touched) {  // settled survivors only
+    const std::uint32_t v = arcs.Global(id);
+    probe.dist[v] = tree.dist[id];
+    probe.pred_node[v] = tree.pred_node[id] == graph::kInvalidNode
+                             ? graph::kInvalidNode
+                             : arcs.Global(tree.pred_node[id]);
+    probe.pred_edge[v] = tree.pred_edge[id];
+    probe.settled[v] = 1;
+  }
+  probe.tree_edges = std::move(tree.tree_edges);
+  probe.mask_min_clip = tree.mask_min_clip;
+  probe.complete = tree.complete;
+  return probe;
+}
+
+}  // namespace
+
 MaskedSpProbe ComputeMaskedSpTreeForTest(
     const CsrGraph& csr, const MaskView& mask, std::uint32_t source,
     const std::vector<graph::NodeId>& targets, bool stop_at_targets,
@@ -1561,64 +1485,16 @@ MaskedSpProbe ComputeMaskedSpTreeForTest(
   std::sort(s.forced_sorted.begin(), s.forced_sorted.end());
   s.banned_sorted.assign(banned.begin(), banned.end());
   std::sort(s.banned_sorted.begin(), s.banned_sorted.end());
-  s.terminals.assign(targets.begin(), targets.end());
   OverlayGuard overlay(s, csr);
-
-  // Both paths project into global-indexed arrays so callers diff them
-  // element-for-element without knowing which path ran.
-  MaskedSpProbe probe;
-  probe.dist.assign(csr.num_nodes, kInf);
-  probe.pred_node.assign(csr.num_nodes, graph::kInvalidNode);
-  probe.pred_edge.assign(csr.num_nodes, graph::kInvalidEdge);
-  probe.settled.assign(csr.num_nodes, 0);
-
-  SpTree tree;
-  const ShardMask* compact =
-      mask.compact != nullptr && mask.compact->HasCompact() &&
-              mask.compact->local_of.size() == csr.num_nodes &&
-              mask.compact->local_of[source] != ShardMask::kExternal
-          ? mask.compact
-          : nullptr;
-  if (compact != nullptr) {
-    const std::size_t n = compact->nodes.size();
-    if (s.is_target_local.size() < n) s.is_target_local.resize(n, 0);
-    for (std::uint32_t t : targets) {
-      const std::uint32_t lt = compact->local_of[t];
-      if (lt != ShardMask::kExternal) s.is_target_local[lt] = 1;
-    }
-    // The stop threshold mirrors the global path's s.terminals.size():
-    // a target outside the mask (or a duplicate) never settles, so both
-    // paths keep exploring identically instead of stopping early.
-    ComputeSpTreeLocal(*compact, s.edge_flag, s.is_target_local,
-                       targets.size(), stop_at_targets,
-                       compact->local_of[source], s.heap, &tree);
-    for (std::uint32_t t : targets) {
-      const std::uint32_t lt = compact->local_of[t];
-      if (lt != ShardMask::kExternal) s.is_target_local[lt] = 0;
-    }
-    for (std::uint32_t lv : tree.touched) {  // settled survivors only
-      const std::uint32_t v = compact->nodes[lv];
-      probe.dist[v] = tree.dist[lv];
-      probe.pred_node[v] = tree.pred_node[lv] == graph::kInvalidNode
-                               ? graph::kInvalidNode
-                               : compact->nodes[tree.pred_node[lv]];
-      probe.pred_edge[v] = tree.pred_edge[lv];
-      probe.settled[v] = 1;
-    }
-  } else {
-    ComputeSpTree(csr, s.edge_flag, s.is_target, s.terminals.size(),
-                  stop_at_targets, source, mask.in_mask, s.heap, &tree);
-    for (std::uint32_t v : tree.touched) {
-      probe.dist[v] = tree.dist[v];
-      probe.pred_node[v] = tree.pred_node[v];
-      probe.pred_edge[v] = tree.pred_edge[v];
-      probe.settled[v] = 1;
-    }
+  const ShardMask* compact = mask.compact;
+  if (compact != nullptr && compact->HasCompact() &&
+      compact->local_of.size() == csr.num_nodes &&
+      compact->local_of[source] != ShardMask::kExternal) {
+    return ProbeSpTree(csr, LocalArcs(*compact), source, targets,
+                       stop_at_targets, s);
   }
-  probe.tree_edges = std::move(tree.tree_edges);
-  probe.mask_min_clip = tree.mask_min_clip;
-  probe.complete = tree.complete;
-  return probe;
+  return ProbeSpTree(csr, BitmapArcs(csr, *mask.in_mask), source, targets,
+                     stop_at_targets, s);
 }
 
 }  // namespace q::steiner

@@ -23,12 +23,14 @@ struct FastSolveStats {
   std::size_t sp_cache_hits = 0;
   std::size_t sp_cache_misses = 0;
   std::size_t sp_cache_entries = 0;
-  // Masked-solve cache traffic (compacted local trees, mask-uid keyed;
-  // see sp_cache.h) and the bypass counter for masked solves that ran
-  // with no cache at all (the uncompacted referee path).
+  // Masked solves never consult the cache; every masked SP tree is
+  // computed. sp_local_misses counts those computed over a compact
+  // mask-local view and masked_bypasses those computed by the
+  // uncompacted referee path (0 while compact_local_ids is on).
+  // sp_local_hits is always 0; it stays for readers that report a local
+  // hit rate.
   std::size_t sp_local_hits = 0;
   std::size_t sp_local_misses = 0;
-  std::size_t sp_local_entries = 0;
   std::size_t masked_bypasses = 0;
 };
 
@@ -66,11 +68,13 @@ struct MaskView {
   const std::vector<std::uint32_t>* nodes = nullptr;   // ascending node ids
   // Compact local-id view (the ShardMask owning the vectors above, which
   // also carries the local sub-CSR — see shard.h). When set, masked
-  // Dijkstras run over dense local ids with every per-node array sized to
-  // the mask, translating back to global ids only where results feed the
-  // metric closure, the certificates, the exact-DP eligibility scan, and
-  // tree extraction. Null runs the uncompacted masked path — kept as the
-  // bit-identity referee (ShardedSearchConfig::compact_local_ids).
+  // Dijkstras walk the local sub-CSR over dense local ids with every
+  // per-node array sized to the mask; null walks the global CSR under the
+  // in_mask bitmap — the bit-identity referee
+  // (ShardedSearchConfig::compact_local_ids). Both are arc views of the
+  // one Dijkstra the unmasked solvers run (fast_solver.cc, ArcView); the
+  // trees' ids map back to global ids only where results feed the exact
+  // DP's eligible set and tree extraction.
   const ShardMask* compact = nullptr;
   // Real-cost radius around the terminals the mask provably covers. The
   // solvers certify each solve from its own clipped-frontier offers
@@ -267,17 +271,11 @@ class FastSteinerEngine {
   // escalation if a child surfaces before k trees are emitted (see
   // top_k.cc).
   //
-  // Caching: masked solves never touch the unmasked (generation-keyed)
-  // half of the shortest-path cache — those entries describe the full
-  // graph. Compacted masked solves (mask.compact set) share *local*
-  // trees through the cache's mask-uid-keyed half instead: arrays are
-  // mask-sized, so materializing them is cheap, and the uid pins both
-  // the mask and the cost snapshot its view baked in. A served tree's
-  // mask_min_clip can understate a fresh run's under a superset banned
-  // set (see sp_cache.h) — certification is then conservative, never
-  // unsound, and certified output is still bit-identical. The
-  // uncompacted referee path keeps the original behavior — no caching
-  // at all — and counts toward FastSolveStats::masked_bypasses.
+  // Caching: masked solves never touch the shortest-path cache — its
+  // entries describe the full graph. Each masked tree is computed into
+  // the thread's pooled scratch slots and counted in FastSolveStats
+  // (sp_local_misses for compacted solves, masked_bypasses for the
+  // uncompacted referee).
   std::optional<SteinerTree> SolveKmbMasked(
       const SnapshotPin& pin, const std::vector<graph::NodeId>& terminals,
       const std::vector<graph::EdgeId>& forced,
@@ -318,6 +316,9 @@ class FastSteinerEngine {
   // populating the old generation.
   bool BeginMutation();
 
+  // Counts the SP trees of one masked solve (see FastSolveStats).
+  void NoteMaskedTrees(bool compact, std::size_t trees);
+
   // Shared bodies of the plain and masked solvers; `mask` == nullptr is
   // the unmasked path (then `outcome` is ignored and the engine's own
   // cache serves the solve; masked solves run uncached).
@@ -346,6 +347,8 @@ class FastSteinerEngine {
   mutable std::mutex snapshot_mu_;
   std::uint64_t generation_ = 0;
   std::unique_ptr<ShortestPathCache> cache_;  // null when caching disabled
+  std::atomic<std::size_t> masked_local_trees_{0};
+  std::atomic<std::size_t> masked_bypasses_{0};
   // Lazily built by RecostDelta; reset by InvalidateFeatureIndex.
   std::unique_ptr<FeatureEdgeIndex> feature_index_;
   // Scratch reused across RecostDelta calls.
@@ -357,10 +360,11 @@ class FastSteinerEngine {
   std::uint32_t shard_target_ = 0;
 };
 
-// Test-only probe: one masked single-source Dijkstra through either the
-// compacted (mask.compact set) or uncompacted path, projected to global
-// node ids so the stress suite can assert the two are byte-equal —
-// distances, predecessors, settled sets, tree edges, and mask_min_clip.
+// Test-only probe: one masked single-source Dijkstra over the compact
+// local view (mask.compact set) or the in_mask bitmap view, projected to
+// global node ids so the stress suite can assert the two are byte-equal
+// — distances, predecessors, settled sets, tree edges, and
+// mask_min_clip.
 struct MaskedSpProbe {
   std::vector<double> dist;                // per global node; +inf outside
   std::vector<std::uint32_t> pred_node;    // global ids

@@ -72,10 +72,6 @@ struct ShardMask {
   std::vector<std::uint32_t> local_arc_head;  // local id, or kExternal
   std::vector<graph::EdgeId> local_arc_edge;  // global edge ids (overlay flags)
   std::vector<double> local_arc_cost;         // baked from the pinned CSR
-  // Process-unique id stamped per built view; the shortest-path cache
-  // keys masked local trees by it (mask-epoch keying — a grown or
-  // unrelated mask can never serve a stale local tree).
-  std::uint64_t mask_uid = 0;
 
   bool HasCompact() const {
     return local_offsets.size() == nodes.size() + 1 && !local_of.empty();

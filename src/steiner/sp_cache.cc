@@ -76,18 +76,6 @@ void ShortestPathCache::BumpGeneration() {
     shard.by_key.clear();
     num_entries_.fetch_sub(purged, std::memory_order_relaxed);
   }
-  // Local-tree entries are uid-keyed (never matched across masks) but a
-  // re-cost means every live mask's enumeration is ending; reclaim their
-  // memory now instead of waiting for the overflow clear.
-  for (Shard& shard : local_shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    std::size_t purged = 0;
-    for (const auto& [key, entries] : shard.by_key) {
-      purged += entries.size();
-    }
-    shard.by_key.clear();
-    num_local_entries_.fetch_sub(purged, std::memory_order_relaxed);
-  }
 }
 
 std::uint64_t ShortestPathCache::generation() const {
@@ -195,83 +183,6 @@ void ShortestPathCache::Insert(std::uint64_t generation,
   std::lock_guard<std::mutex> lock(shard.mu);
   shard.by_key[key].push_back(Entry{
       std::move(forced_sorted), std::move(banned_sorted), std::move(tree)});
-}
-
-std::shared_ptr<const SpTree> ShortestPathCache::LookupLocal(
-    std::uint64_t mask_uid, std::uint32_t terminal,
-    const std::vector<graph::EdgeId>& forced_sorted,
-    const std::vector<graph::EdgeId>& banned_sorted,
-    const std::vector<double>& edge_cost,
-    const std::vector<std::uint32_t>& required_local, bool require_complete) {
-  const std::uint64_t key = LocalKey(mask_uid, terminal);
-  Shard& shard = local_shards_[ShardIndex(key)];
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.by_key.find(key);
-    if (it != shard.by_key.end()) {
-      for (const Entry& entry : it->second) {
-        // Same reuse rule as the global store: forced/banned/tree_edges
-        // hold global edge ids regardless of index space, and `required`
-        // indexes the entry's own (local) settled array.
-        if (Valid(entry, forced_sorted, banned_sorted, edge_cost,
-                  required_local, require_complete)) {
-          local_hits_.fetch_add(1, std::memory_order_relaxed);
-          return entry.tree;
-        }
-      }
-    }
-  }
-  local_misses_.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
-}
-
-void ShortestPathCache::InsertLocal(std::uint64_t mask_uid,
-                                    std::uint32_t terminal,
-                                    std::vector<graph::EdgeId> forced_sorted,
-                                    std::vector<graph::EdgeId> banned_sorted,
-                                    std::shared_ptr<const SpTree> tree) {
-  if (num_local_entries_.fetch_add(1, std::memory_order_relaxed) >=
-      max_local_entries_) {
-    // Local working sets die with their enumeration (uids are never
-    // reused), so a full store is all garbage to the inserter: clear it
-    // wholesale and keep going. Concurrent readers of other uids just
-    // miss and recompute — entries are immutable shared_ptrs, so nothing
-    // is ever torn.
-    std::size_t purged = 0;
-    for (Shard& shard : local_shards_) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      for (const auto& [key, entries] : shard.by_key) {
-        purged += entries.size();
-      }
-      shard.by_key.clear();
-    }
-    num_local_entries_.fetch_sub(purged, std::memory_order_relaxed);
-  }
-  const std::uint64_t key = LocalKey(mask_uid, terminal);
-  Shard& shard = local_shards_[ShardIndex(key)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.by_key[key].push_back(Entry{
-      std::move(forced_sorted), std::move(banned_sorted), std::move(tree)});
-}
-
-void ShortestPathCache::NoteMaskedBypass(std::size_t trees) {
-  masked_bypasses_.fetch_add(trees, std::memory_order_relaxed);
-}
-
-std::size_t ShortestPathCache::local_hits() const {
-  return local_hits_.load(std::memory_order_relaxed);
-}
-
-std::size_t ShortestPathCache::local_misses() const {
-  return local_misses_.load(std::memory_order_relaxed);
-}
-
-std::size_t ShortestPathCache::local_size() const {
-  return num_local_entries_.load(std::memory_order_relaxed);
-}
-
-std::size_t ShortestPathCache::masked_bypasses() const {
-  return masked_bypasses_.load(std::memory_order_relaxed);
 }
 
 std::size_t ShortestPathCache::hits() const {

@@ -98,6 +98,12 @@ struct SpTree {
 // InvalidateRepriced keeps its stronger contract: no same-generation
 // solve may be in flight (the engine guarantees this by holding its
 // snapshot lock and bumping instead whenever the snapshot is pinned).
+//
+// Only unmasked solves use the cache. A masked (sharded) solve's trees
+// describe the mask's subgraph, and — measured on bench_graph_scale and
+// the serving benchmark — they almost never recur within one mask, so
+// masked solves compute every tree into pooled scratch instead (see
+// fast_solver.h).
 class ShortestPathCache {
  public:
   explicit ShortestPathCache(std::size_t max_entries = 1024)
@@ -180,49 +186,6 @@ class ShortestPathCache {
   std::size_t misses() const;
   std::size_t size() const;
 
-  // --- masked local-tree cache (mask-uid keyed) -------------------------
-  //
-  // Compacted masked solves store per-terminal Dijkstra trees whose
-  // arrays are indexed by the mask's *local* ids (see shard.h). Such a
-  // tree is meaningless under any other mask, so these entries are keyed
-  // by the mask's process-unique uid instead of the cost generation: a
-  // grown (escalated) mask gets a fresh uid and starts cold, and the uid
-  // also names the cost snapshot (the compact view bakes the pinned arc
-  // costs), so generation never enters the key. The overlay reuse rule is
-  // the same as the global store's — edge ids in forced/banned/tree_edges
-  // are global either way — with `required` given as local terminal ids.
-  //
-  // Clip caveat: a cached tree's mask_min_clip was recorded under the
-  // entry's own banned set. Serving a superset-ban lookup can only
-  // *understate* the fresh clip floor (banning a boundary arc removes a
-  // clipped offer, never adds one), so certification against a served
-  // clip is conservative — a solve may escalate where a fresh run would
-  // certify, but a certified result is still exactly the unmasked one,
-  // and solver *output* is unchanged (bounds never exceed true costs).
-  //
-  // Capacity is separate and small; local working sets live and die with
-  // one enumeration. When full, the store is wholesale-cleared before the
-  // insert — cheap, and each enumeration keeps its own hits.
-  std::shared_ptr<const SpTree> LookupLocal(
-      std::uint64_t mask_uid, std::uint32_t terminal,
-      const std::vector<graph::EdgeId>& forced_sorted,
-      const std::vector<graph::EdgeId>& banned_sorted,
-      const std::vector<double>& edge_cost,
-      const std::vector<std::uint32_t>& required_local, bool require_complete);
-  void InsertLocal(std::uint64_t mask_uid, std::uint32_t terminal,
-                   std::vector<graph::EdgeId> forced_sorted,
-                   std::vector<graph::EdgeId> banned_sorted,
-                   std::shared_ptr<const SpTree> tree);
-
-  // Counts masked solves that ran with no cache at all (uncompacted
-  // referee path); the observability gap that hid the compaction bug.
-  void NoteMaskedBypass(std::size_t trees);
-
-  std::size_t local_hits() const;
-  std::size_t local_misses() const;
-  std::size_t local_size() const;
-  std::size_t masked_bypasses() const;
-
  private:
   struct Entry {
     std::vector<graph::EdgeId> forced;  // sorted
@@ -254,27 +217,12 @@ class ShortestPathCache {
     return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 61);
   }
 
-  // (mask_uid << 32) | terminal, in a separate shard array so local and
-  // global keys can never meet. Uids are process-monotone and stay far
-  // below 2^32 in any realistic run.
-  static std::uint64_t LocalKey(std::uint64_t mask_uid,
-                                std::uint32_t terminal) {
-    return (mask_uid << 32) | terminal;
-  }
-
   std::size_t max_entries_;
   std::atomic<std::size_t> num_entries_{0};
   mutable std::atomic<std::size_t> hits_{0};
   mutable std::atomic<std::size_t> misses_{0};
   std::atomic<std::uint64_t> generation_{0};
   std::array<Shard, kNumShards> shards_;
-
-  std::size_t max_local_entries_ = 512;
-  std::atomic<std::size_t> num_local_entries_{0};
-  mutable std::atomic<std::size_t> local_hits_{0};
-  mutable std::atomic<std::size_t> local_misses_{0};
-  std::atomic<std::size_t> masked_bypasses_{0};
-  std::array<Shard, kNumShards> local_shards_;
 };
 
 }  // namespace q::steiner

@@ -51,7 +51,8 @@ struct ShardedSearchConfig {
   // mask instead of the whole graph, which is what keeps masked solves
   // cache-resident on million-source catalogs. Bit-identical to the
   // uncompacted masked path by construction; disabling it selects that
-  // path as a referee (bench_graph_scale --no-compact diffs the two).
+  // path as a referee (bench_graph_scale and local_compaction_test diff
+  // the two).
   bool compact_local_ids = true;
 };
 

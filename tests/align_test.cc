@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "align/aligner.h"
+#include "align/view_context.h"
 #include "data/gbco.h"
 #include "graph/cost_model.h"
 #include "graph/graph_builder.h"
@@ -158,6 +162,34 @@ TEST_F(AlignTest, PreferentialRespectsBudgetAndPrior) {
   // least 12*8 comparisons happened but far fewer than exhaustive.
   EXPECT_GE(stats.attribute_comparisons, 12u * 8u);
   EXPECT_LT(stats.attribute_comparisons, (187u - 8u) * 8u);
+}
+
+TEST_F(AlignTest, RelationVertexPriorNegatesEveryRelationWeight) {
+  // Relation features are interned with association edges; intern two
+  // here and move one learned weight, then check the prior covers
+  // exactly the relation nodes with a "rel:" feature, in node order, each
+  // at its weight negated.
+  const graph::FeatureId gene_feature = model_->RelationFeature("gene.gene");
+  model_->RelationFeature("sample.sample");
+  weights_ = std::make_unique<graph::WeightVector>(&space_);
+  weights_->Set(gene_feature, 0.75);
+
+  const auto prior = RelationVertexPrior(graph_, space_, *weights_);
+  std::vector<std::pair<graph::NodeId, double>> expected;
+  for (graph::NodeId n = 0; n < graph_.num_nodes(); ++n) {
+    if (graph_.node(n).kind != graph::NodeKind::kRelation) continue;
+    graph::FeatureId fid;
+    if (space_.Find("rel:" + graph_.node(n).label, &fid)) {
+      expected.emplace_back(n, -weights_->At(fid));
+    }
+  }
+  ASSERT_EQ(expected.size(), 2u);
+  EXPECT_EQ(prior, expected);
+  auto gene = graph_.FindRelationNode("gene.gene");
+  ASSERT_TRUE(gene.has_value());
+  EXPECT_NE(std::find(prior.begin(), prior.end(),
+                      std::make_pair(*gene, -0.75)),
+            prior.end());
 }
 
 TEST_F(AlignTest, ValueOverlapFilterReducesComparisons) {

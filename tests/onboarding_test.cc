@@ -122,10 +122,13 @@ struct OnbHarness {
   std::unique_ptr<QSystem> q;
   std::vector<std::size_t> view_ids;
 
-  OnbHarness(std::size_t communities, int k, bool async) {
+  OnbHarness(std::size_t communities, int k, bool async,
+             double association_cost_threshold = kInf) {
     dataset = data::BuildOnboardingDataset(communities);
     QSystemConfig config;
     config.view.top_k.k = k;
+    config.view.query_graph.association_cost_threshold =
+        association_cost_threshold;
     config.view.query_graph.min_similarity = 0.5;
     config.view.query_graph.max_matches_per_keyword = 6;
     // MAD only: the metadata matcher would align the shared "lka"/"lkb"
@@ -365,6 +368,40 @@ TEST(OnboardingTest, FeedbackRebasesASkippedRegistrationWithoutASerialSearch) {
                   .ok());
   for (std::size_t i = 0; i < h.view_ids.size(); ++i) {
     ExpectSameViewState(*h.q->ReadView(h.view_ids[i]).state,
+                        *twin.q->ReadView(twin.view_ids[i]).state,
+                        "view " + std::to_string(i));
+  }
+}
+
+// --- weight-dependent topology ----------------------------------------------
+
+// A finite association-cost threshold makes every view's query-graph
+// topology depend on the weights, so no async repair can finish one: a
+// registration must repair those views serially inside the ack, the same
+// rule a feedback round applies, and the drain must come back clean with
+// output bit-identical to a synchronous twin.
+TEST(OnboardingTest, FiniteThresholdRegistrationRepairsSeriallyInTheAck) {
+  constexpr double kThreshold = 50.0;
+  OnbHarness h(/*communities=*/4, /*k=*/2, /*async=*/true, kThreshold);
+  ASSERT_TRUE(h.q->DrainRefreshes().ok());
+  OnbHarness twin(/*communities=*/4, /*k=*/2, /*async=*/false, kThreshold);
+
+  const auto sched_before = h.q->async_scheduler()->stats();
+  ASSERT_TRUE(
+      h.q->RegisterAndAlignSource(data::MakeOverlappingSource(0, 1)).ok());
+  ASSERT_TRUE(h.q->DrainRefreshes().ok());
+  const auto sched_after = h.q->async_scheduler()->stats();
+  EXPECT_EQ(sched_after.serial_repairs,
+            sched_before.serial_repairs + h.view_ids.size());
+  EXPECT_EQ(sched_after.structural_rebuilds, sched_before.structural_rebuilds);
+
+  ASSERT_TRUE(
+      twin.q->RegisterAndAlignSource(data::MakeOverlappingSource(0, 1)).ok());
+  for (std::size_t i = 0; i < h.view_ids.size(); ++i) {
+    const query::ViewResult fresh = h.q->ReadView(h.view_ids[i]);
+    EXPECT_FALSE(fresh.stale) << "view " << i;
+    EXPECT_FALSE(fresh.state->trees.empty()) << "view " << i;
+    ExpectSameViewState(*fresh.state,
                         *twin.q->ReadView(twin.view_ids[i]).state,
                         "view " + std::to_string(i));
   }
