@@ -596,8 +596,10 @@ int main(int argc, char** argv) {
   // long does one user's ApplyFeedback hold the interactive path? Sync
   // mode repairs every affected view inline; async mode returns after the
   // journal append + relevance classification and repairs on the
-  // scheduler's pool. Both pay the same MIRA update (its own k-best
-  // search), so the ratio isolates the refresh work moved off the path.
+  // scheduler's pool. Both pay the same MIRA update, including its own
+  // cold k-best search: these views publish k = 3 and MIRA asks for 5,
+  // so neither system can reuse a view's published list. The ratio
+  // therefore isolates the refresh work moved off the path.
   {
     q::data::GbcoConfig gconfig;
     gconfig.base_rows = 150;

@@ -22,7 +22,8 @@ AsyncRefreshScheduler::AsyncRefreshScheduler(
       model_(model),
       weights_(weights),
       serve_gate_(serve_gate),
-      queue_(pool_) {}
+      queue_(pool_),
+      epoch_weight_revision_(weights->revision()) {}
 
 AsyncRefreshScheduler::~AsyncRefreshScheduler() { queue_.Drain(); }
 
@@ -45,6 +46,7 @@ void AsyncRefreshScheduler::NotifyBaseChanged() {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.feedback_rounds;
     ++epoch_;
+    epoch_weight_revision_ = weights_->revision();
     engine_->BeginAsyncRound(*base_, *weights_);
     for (std::size_t slot = 0; slot < views_.size(); ++slot) {
       if (queue_.Busy(slot)) {
@@ -128,6 +130,7 @@ util::Status AsyncRefreshScheduler::NotifyStructuralChange() {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.structural_rounds;
     ++epoch_;
+    epoch_weight_revision_ = weights_->revision();
     engine_->BeginAsyncRound(*base_, *weights_);
     for (std::size_t slot = 0; slot < views_.size(); ++slot) {
       if (queue_.Busy(slot)) {
@@ -293,6 +296,17 @@ query::ViewResult AsyncRefreshScheduler::Read(std::size_t slot) const {
   return result;
 }
 
+std::shared_ptr<const query::ViewSnapshot>
+AsyncRefreshScheduler::CurrentSnapshot(std::size_t slot) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (slot >= views_.size() || views_[slot] == nullptr ||
+      validated_[slot] < epoch_ ||
+      epoch_weight_revision_ != weights_->revision()) {
+    return nullptr;
+  }
+  return views_[slot]->Snapshot();
+}
+
 bool AsyncRefreshScheduler::WaitFresh(std::size_t slot,
                                       std::chrono::milliseconds timeout) {
   std::unique_lock<std::mutex> lock(mu_);
@@ -319,6 +333,7 @@ util::Status AsyncRefreshScheduler::SyncBarrier() {
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.sync_barriers;
   ++epoch_;
+  epoch_weight_revision_ = weights_->revision();
   if (status.ok()) {
     for (std::size_t slot = 0; slot < validated_.size(); ++slot) {
       validated_[slot] = epoch_;

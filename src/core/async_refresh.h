@@ -167,6 +167,16 @@ class AsyncRefreshScheduler {
   // consistent) for as long as the caller holds it.
   query::ViewResult Read(std::size_t slot) const;
 
+  // The published snapshot of `slot` when it is provably what a fresh
+  // search of the view's query graph at the live weights would return,
+  // else null: the view was validated at the current epoch (Read's
+  // `!stale`) and the live weight vector has not moved since that epoch
+  // began (a direct mutable_weights() write does not bump the epoch).
+  // Read under the one scheduler lock; callers hold the feedback lock, so
+  // neither the epoch nor the live weights can move meanwhile.
+  std::shared_ptr<const query::ViewSnapshot> CurrentSnapshot(
+      std::size_t slot) const;
+
   // Blocks until `slot` reflects every base-state change committed
   // before this call, or `timeout` elapses (false). Returns false
   // immediately if a repair failed (Drain/SyncBarrier surface the
@@ -221,6 +231,8 @@ class AsyncRefreshScheduler {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::uint64_t epoch_ = 0;
+  // Live weight revision when the current epoch began.
+  std::uint64_t epoch_weight_revision_ = 0;
   // Frozen copy of *weights_ made at the latest epoch; repairs read it
   // instead of the live vector so they never race MIRA updates.
   std::shared_ptr<const graph::WeightVector> frozen_weights_;

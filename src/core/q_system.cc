@@ -5,6 +5,20 @@
 #include "util/logging.h"
 
 namespace q::core {
+namespace {
+
+// A view's published trees are MIRA's k-best list only when both searches
+// share every output-determining top-k setting; the pool, the
+// shortest-path cache and sharding never change the output.
+bool SameKBestSettings(const steiner::TopKConfig& view,
+                       const learn::MiraConfig& mira) {
+  return view.k == mira.k && view.approximate == mira.top_k.approximate &&
+         view.approximate_above_nodes == mira.top_k.approximate_above_nodes &&
+         view.max_subproblems == mira.top_k.max_subproblems &&
+         view.engine == mira.top_k.engine;
+}
+
+}  // namespace
 
 QSystem::QSystem(QSystemConfig config)
     : config_(config),
@@ -364,10 +378,30 @@ util::Status QSystem::ApplyFeedback(std::size_t view_id,
     return util::Status::InvalidArgument("no such view");
   }
   query::TopKView& v = *views_[view_id];
+  const query::QueryGraph& qg = v.query_graph();
+  for (graph::EdgeId e : endorsed.edges) {
+    if (e >= qg.graph.num_edges()) {
+      return util::Status::InvalidArgument(
+          "endorsed tree has an edge outside the view's query graph");
+    }
+  }
+  // Algorithm 4 moves the weights against KBESTSTEINER at the current
+  // weights. When the view is current and searched with MIRA's top-k
+  // settings, that list is exactly the one it published (the one the
+  // user endorsed from), so reuse it instead of a cold search.
+  std::shared_ptr<const query::ViewSnapshot> current;
+  if (SameKBestSettings(config_.view.top_k, learner_.config())) {
+    current = scheduler_ != nullptr
+                  ? scheduler_->CurrentSnapshot(view_id)
+                  : refresh_.CurrentSnapshot(view_id, graph_, weights_);
+  }
+  refresh_.CountFeedbackKBest(current != nullptr);
   const std::uint64_t rev_before = weights_.revision();
-  auto info = learner_.Update(v.query_graph().graph,
-                              v.query_graph().keyword_nodes, endorsed,
-                              &weights_);
+  auto info = current != nullptr
+                  ? learner_.UpdateAgainst(qg.graph, current->trees, endorsed,
+                                           &weights_)
+                  : learner_.Update(qg.graph, qg.keyword_nodes, endorsed,
+                                    &weights_);
   Q_RETURN_NOT_OK(info.status());
   RecordFeedbackLocked(feedback::FeedbackKind::kEndorse, v.keywords(),
                        rev_before);

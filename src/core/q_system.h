@@ -189,7 +189,14 @@ class QSystem {
   // The user endorsed the answer produced by `endorsed` in view
   // `view_id`: runs one MIRA update and refreshes views (Sec. 4 — "a
   // query that produces correct results is constrained to have a cost at
-  // least as low as the top-ranked query result").
+  // least as low as the top-ranked query result"). The update's k-best
+  // list is the view's published tree list when the view is current (its
+  // output is what a fresh search at the live weights would return) and
+  // its top-k settings match MIRA's; otherwise MIRA runs a cold top-k
+  // search. The weights come out bit-identical either way (see
+  // docs/query_engine.md, "The ack path"). InvalidArgument, with the
+  // weights untouched, when `endorsed` names an edge outside the view's
+  // query graph.
   util::Status ApplyFeedback(std::size_t view_id,
                              const steiner::SteinerTree& endorsed);
 

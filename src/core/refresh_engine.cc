@@ -438,6 +438,20 @@ util::Result<query::ViewSnapshot> RefreshEngine::SearchView(
                                         &pin);
 }
 
+std::shared_ptr<const query::ViewSnapshot> RefreshEngine::CurrentSnapshot(
+    std::size_t slot_id, const graph::SearchGraph& base,
+    const graph::WeightVector& weights) const {
+  if (slot_id >= slots_.size()) return nullptr;
+  const Slot& slot = slots_[slot_id];
+  if (!slot.built || slot.dirty || slot.view == nullptr ||
+      slot.graph_revision != base.revision() ||
+      slot.weight_revision != weights.revision() || !slot.view->refreshed() ||
+      slot.view->certificate().serial != slot.certificate_serial) {
+    return nullptr;
+  }
+  return slot.view->Snapshot();
+}
+
 util::Status RefreshEngine::RefreshAll(const graph::SearchGraph& base,
                                        const relational::Catalog& catalog,
                                        const text::TextIndex& index,

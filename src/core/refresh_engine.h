@@ -157,6 +157,13 @@ struct RefreshEngineStats {
   // deliberately left stale, replaying the journals from the same
   // baseline until a delta defeats the certificate.
   std::size_t views_skipped_structural = 0;
+
+  // --- feedback k-best (QSystem::ApplyFeedback) ---------------------------
+  // MIRA k-best lists taken from the endorsed view's published snapshot:
+  // the view was current and searched with MIRA's top-k settings.
+  std::size_t feedback_kbest_reused = 0;
+  // MIRA k-best lists recomputed by a cold top-k search instead.
+  std::size_t feedback_kbest_searched = 0;
 };
 
 // Read-only classification of one view against the current base state,
@@ -334,6 +341,25 @@ class RefreshEngine {
   RefreshEngineStats stats() const {
     std::lock_guard<std::mutex> lock(stats_mu_);
     return stats_;
+  }
+
+  // The published snapshot of `slot` when it is provably what a fresh
+  // search of the view's query graph at `base`/`weights` would return,
+  // else null: the slot is built and clean, committed at exactly these
+  // revisions, and the view's certificate was stamped by the search this
+  // slot committed (a gate-skipped slot does not commit its revisions, so
+  // it reads as not current). Synchronous mode only: async repairs commit
+  // slots from pool threads (AsyncRefreshScheduler::CurrentSnapshot
+  // answers there).
+  std::shared_ptr<const query::ViewSnapshot> CurrentSnapshot(
+      std::size_t slot, const graph::SearchGraph& base,
+      const graph::WeightVector& weights) const;
+
+  // Counts one feedback k-best list as reused or searched (see
+  // RefreshEngineStats::feedback_kbest_reused).
+  void CountFeedbackKBest(bool reused) {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++(reused ? stats_.feedback_kbest_reused : stats_.feedback_kbest_searched);
   }
 
   // --- async task decomposition (core::AsyncRefreshScheduler) -------------
